@@ -68,6 +68,7 @@ from .verify import (
     check_theorem_exhaustive,
     check_theorem_sampled,
     gl5_fixture_suite,
+    run_checks,
 )
 
 __version__ = "0.1.0"

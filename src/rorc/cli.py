@@ -23,14 +23,7 @@ from .diagrams import chain_lengths, complete_diagram, render_ascii, subdiagram
 from .matrices import ExactMatrix
 from .strata import WitnessSearchError, decompose, defect_profile, in_stratum, witness
 from .tableaux import minimal_movement, richardson_tableau
-from .verify import (
-    ConfigError,
-    ExperimentConfig,
-    check_component_count,
-    check_lemmas,
-    check_theorem_exhaustive,
-    check_theorem_sampled,
-)
+from .verify import ConfigError, ExperimentConfig, run_checks
 
 
 def _parse_d(text: str) -> Composition:
@@ -54,7 +47,7 @@ def _default_seed() -> int:
     try:
         return int(raw) if raw else 0
     except ValueError:
-        return 0
+        raise ConfigError(f"RORC_SEED must be an integer, got {raw!r}") from None
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -134,32 +127,14 @@ def _cmd_verify(args) -> int:
         d=d, mode=args.mode, fieldsize=args.field, trials=args.trials,
         seed=args.seed, dim_cap=args.dim_cap,
     )
-    reports = []
-    if "counts" in args.checks:
-        reports.append(check_component_count(cfg))
-    if "theorem" in args.checks:
-        if cfg.mode == "exhaustive":
-            reports.append(check_theorem_exhaustive(cfg))
-        else:
-            reports.append(check_theorem_sampled(cfg))
-    if "lemmas" in args.checks:
-        reports.append(check_lemmas(cfg))
-    checks = [c for rep in reports for c in rep.checks]
-    passed = all(c.passed for c in checks)
-    payload = {
-        "schema": "rorc.report/1",
-        "config": cfg.to_json_dict(),
-        "components": len(lambda_pairs(d)),
-        "passed": passed,
-        "checks": [c.to_json_dict() for c in checks],
-    }
+    report = run_checks(cfg, [c.strip() for c in args.checks.split(",") if c.strip()])
     if args.json or args.out:
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(json.dumps(report.to_json_dict(), indent=2), args.out)
     if not args.json:
-        print(f"d = {d}: components = {payload['components']}")
-        for c in checks:
+        print(f"d = {d}: components = {report.components}")
+        for c in report.checks:
             print(f"  [{'pass' if c.passed else 'FAIL'}] {c.name}  {c.counts}")
-    return 0 if passed else 1
+    return 0 if report.passed else 1
 
 
 def _cmd_witness(args) -> int:
@@ -251,22 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "checks"):
-        args.checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-        bad = set(args.checks) - {"theorem", "lemmas", "counts"}
-        if bad:
-            print(f"error: unknown checks {sorted(bad)}", file=sys.stderr)
-            return 2
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "witness" and not args.pair:
             raise ConfigError("witness requires --pair i,j")
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:   # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

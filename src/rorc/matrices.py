@@ -78,6 +78,9 @@ class ExactMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", len(rows[0]))
+        if p is not None and self.ncols * (p - 1) ** 2 >= 2 ** 63:
+            raise ValueError(f"Fp:{p} is too large for {self.ncols} columns: "
+                             "the int64 kernels need ncols*(p-1)^2 < 2^63")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "p", p)
         if blocks is not None:

@@ -29,7 +29,6 @@ from .compositions import (
     gamma_pairs,
     kappa,
     lambda_pairs,
-    low_intermediates,
     richardson_partition,
 )
 from .diagrams import (
@@ -199,14 +198,8 @@ class WindowTables:
     kappas: np.ndarray              # (P,)
     gamma: np.ndarray               # (P,) bool
     lam: np.ndarray                 # (P,) bool
-    full_index: int
+    full_index: int                 # index of the full window (1, t); 0 when t = 1
     positions: np.ndarray           # (m, 2) free entries of the pattern
-    # lemma rule indices, precomputed once per d
-    low_rules: tuple[tuple[int, int], ...]               # (pair, l) with l < kappa
-    high_rules: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
-    # ^ (pair, l > kappa, flanking (i,m),(m,j) options over the small mids)
-    split_rules: tuple[int, ...]    # non-gamma pairs; targets are the Gamma strata
-    absorb_rules: tuple[int, ...]   # gamma-minus-lambda pairs; targets the components
 
 
 def _pair_index(i: int, j: int, t: int) -> int:
@@ -248,26 +241,6 @@ def _window_tables(d: Composition) -> WindowTables:
                     positions.append((r, c))
     positions = np.array(positions, dtype=np.int64).reshape(-1, 2)
 
-    low_rules = []
-    high_rules = []
-    split_rules = []
-    absorb_rules = []
-    for pi, (i, j) in enumerate(pairs):
-        kap = int(kappas[pi])
-        for l in range(1, kap):
-            low_rules.append((pi, l))
-        low = low_intermediates(d, i, j)
-        if low:
-            options = tuple(
-                (_pair_index(i, m, t), _pair_index(m, j, t)) for m in sorted(low)
-            )
-            for l in range(kap + 1, j - i + 1):
-                high_rules.append((pi, l, options))
-        if not gamma[pi]:
-            split_rules.append(pi)
-        if gamma[pi] and not lam[pi]:
-            absorb_rules.append(pi)
-
     return WindowTables(
         d=d,
         pairs=tuple(pairs),
@@ -281,10 +254,6 @@ def _window_tables(d: Composition) -> WindowTables:
         lam=lam,
         full_index=full_index,
         positions=positions,
-        low_rules=tuple(low_rules),
-        high_rules=tuple(high_rules),
-        split_rules=tuple(split_rules),
-        absorb_rules=tuple(absorb_rules),
     )
 
 
@@ -388,7 +357,8 @@ def witness(d, pair: tuple[int, int], seed: int = 0, budget: int = 100_000,
     pi_target = _pair_index(i, j, d.t)
 
     def certify(a: ExactMatrix) -> ExactMatrix:
-        assert in_stratum(a, d, i, j)
+        if not in_stratum(a, d, i, j):
+            raise AssertionError("mod-p screening accepted a matrix outside the target stratum")
         for k, l in lam:
             if (k, l) != (i, j) and in_stratum(a, d, k, l):
                 raise AssertionError("mod-p screening accepted a non-separator")

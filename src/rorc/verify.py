@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .compositions import (
     as_composition,
     kappa,
     lambda_pairs,
+    low_intermediates,
 )
 from .diagrams import max_window_rank
 from .matrices import DEFAULT_PRIME, _is_prime
@@ -60,6 +62,10 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be 'exhaustive' or 'sample', got {self.mode!r}")
         if not _is_prime(self.fieldsize):
             raise ConfigError(f"field size must be prime, got {self.fieldsize}")
+        if self.d.n * (self.fieldsize - 1) ** 2 >= 2 ** 63:
+            raise ConfigError(
+                f"field size {self.fieldsize} is too large for n = {self.d.n}: "
+                "the int64 kernels need n*(p-1)^2 < 2^63")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
         if self.dim_cap < 1:
@@ -105,6 +111,7 @@ class CheckResult:
 class VerificationReport:
     config: dict
     checks: list[CheckResult]
+    components: int | None = None   # |Lambda(d)|, serialized when set
     timing_s: float | None = None
 
     @property
@@ -112,12 +119,11 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
-        out = {
-            "schema": REPORT_SCHEMA,
-            "config": self.config,
-            "passed": self.passed,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
+        out = {"schema": REPORT_SCHEMA, "config": self.config}
+        if self.components is not None:
+            out["components"] = self.components
+        out["passed"] = self.passed
+        out["checks"] = [c.to_json_dict() for c in self.checks]
         if include_timing and self.timing_s is not None:
             out["timing_s"] = self.timing_s
         return out
@@ -160,26 +166,21 @@ def _exhaustive_batches(cfg: ExperimentConfig, tab: WindowTables):
         first += count
 
 
-def _decode_one(cfg: ExperimentConfig, tab: WindowTables, index: int) -> np.ndarray:
-    from . import _kernels
-
-    pos_r = np.ascontiguousarray(tab.positions[:, 0])
-    pos_c = np.ascontiguousarray(tab.positions[:, 1])
-    return _kernels.decode_matrices(index, 1, cfg.fieldsize, pos_r, pos_c, cfg.d.n)[0]
-
-
 def _stream(seed: int, phase: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, phase))))
 
 
-def _generic_sample(cfg: ExperimentConfig, tab: WindowTables) -> np.ndarray:
+def _uniform(rng: np.random.Generator, trials: int, cfg: ExperimentConfig,
+             tab: WindowTables) -> np.ndarray:
     """Uniform nilradical matrices over F_p, trials x n x n."""
-    rng = _stream(cfg.seed, 0)
-    n = cfg.d.n
-    mats = np.zeros((cfg.trials, n, n), dtype=np.int64)
-    vals = rng.integers(0, cfg.fieldsize, size=(cfg.trials, tab.positions.shape[0]))
+    mats = np.zeros((trials, cfg.d.n, cfg.d.n), dtype=np.int64)
+    vals = rng.integers(0, cfg.fieldsize, size=(trials, tab.positions.shape[0]))
     mats[:, tab.positions[:, 0], tab.positions[:, 1]] = vals
     return mats
+
+
+def _generic_sample(cfg: ExperimentConfig, tab: WindowTables) -> np.ndarray:
+    return _uniform(_stream(cfg.seed, 0), cfg.trials, cfg, tab)
 
 
 def _window_chain_cols(d: Composition, i: int, j: int, h: int) -> list[int]:
@@ -192,22 +193,21 @@ def _forced_sample(cfg: ExperimentConfig, tab: WindowTables):
     supported on the broken diagram (which pins the rank below the maximum
     for any entry values), randomize everything outside the window.
 
-    Returns (matrices, forced) where forced[b] = (pair_index, k).
+    Returns (matrices, forced) where forced[b] = (pair_index, k).  Without a
+    window (t = 1) nothing can be forced and the sample is empty.
     """
     from .diagrams import complete_diagram, vertex_id
 
     d = cfg.d
     rng = _stream(cfg.seed, 1)
     p = cfg.fieldsize
-    n = d.n
     o = d.offsets
     base_edges = sorted(complete_diagram(d).edges)
+    trials = cfg.trials if tab.pairs else 0
     # start from fully random nilradical matrices, then carve out each window
-    mats = np.zeros((cfg.trials, n, n), dtype=np.int64)
-    vals = rng.integers(0, p, size=(cfg.trials, tab.positions.shape[0]))
-    mats[:, tab.positions[:, 0], tab.positions[:, 1]] = vals
+    mats = _uniform(rng, trials, cfg, tab)
     forced = []
-    for b in range(cfg.trials):
+    for b in range(trials):
         pi = int(rng.integers(len(tab.pairs)))
         i, j = tab.pairs[pi]
         k = int(rng.integers(1, j - i + 1))
@@ -225,22 +225,52 @@ def _forced_sample(cfg: ExperimentConfig, tab: WindowTables):
             if lo < u <= hi and lo < v <= hi and (u, v) != removed:
                 mats[b, u - 1, v - 1] = int(rng.integers(0, p))
         forced.append((pi, k))
-    return mats, forced
+    return mats, np.array(forced, dtype=np.int64).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------
-# flag algebra shared by the checks
+# one pass: populations -> one rank table per batch -> reducers
 
-def _flags(mats: np.ndarray, tab: WindowTables, q: int):
-    ranks = rank_tables(mats, tab, q)
-    defects = defect_flags(ranks, tab)
-    excess = (tab.thresholds >= 0) & (ranks > tab.thresholds)
-    richardson = ~defects[:, tab.full_index, :].any(axis=1)
-    defective = defects.any(axis=(1, 2))
-    lam_idx = np.nonzero(tab.lam)[0]
-    member = defects[:, lam_idx, tab.kappas[lam_idx] - 1]
-    covered = member.any(axis=1)
-    return defects, excess.any(axis=(1, 2)), richardson, defective, covered, member, lam_idx
+class _Batch(NamedTuple):
+    """One ranked batch of a population and the flags every reducer reads."""
+
+    population: str             # "exhaustive" | "generic" | "forced"
+    first: int                  # population index of mats[0]
+    mats: np.ndarray            # (B, n, n)
+    forced: np.ndarray | None   # (B, 2) forced (pair index, k); forced sample only
+    defects: np.ndarray         # (B, P, kmax) window power rank below the dense orbit's
+    stratum: np.ndarray         # (B, P) defective at kappa: in the stratum of the pair
+    covered: np.ndarray         # (B,) in the stratum of some pair of lambda_pairs(d)
+    richardson: np.ndarray      # (B,) full window (1, t) not defective: generic type
+    defective: np.ndarray       # (B,) defective in some window
+    excess: np.ndarray          # (B,) some window power rank above the dense orbit's
+
+
+def _populations(cfg: ExperimentConfig, tab: WindowTables):
+    """Yield (population, first_index, matrices, forced) in scan order."""
+    if cfg.mode == "exhaustive":
+        for first, mats in _exhaustive_batches(cfg, tab):
+            yield "exhaustive", first, mats, None
+    else:
+        yield "generic", 0, _generic_sample(cfg, tab), None
+        yield "forced", 0, *_forced_sample(cfg, tab)
+
+
+def _batches(cfg: ExperimentConfig, tab: WindowTables):
+    """Rank each population batch once and derive its flags."""
+    pairs = np.arange(len(tab.pairs))
+    full = slice(tab.full_index, tab.full_index + 1)    # empty when t = 1
+    for population, first, mats, forced in _populations(cfg, tab):
+        ranks = rank_tables(mats, tab, cfg.fieldsize)
+        defects = defect_flags(ranks, tab)
+        stratum = defects[:, pairs, tab.kappas - 1]
+        yield _Batch(
+            population, first, mats, forced, defects, stratum,
+            covered=stratum[:, tab.lam].any(axis=1),
+            richardson=~defects[:, full].any(axis=(1, 2)),
+            defective=defects.any(axis=(1, 2)),
+            excess=((tab.thresholds >= 0) & (ranks > tab.thresholds)).any(axis=(1, 2)),
+        )
 
 
 def _record(violations: list, tag: str, mat: np.ndarray, q: int, **extra) -> None:
@@ -248,136 +278,105 @@ def _record(violations: list, tag: str, mat: np.ndarray, q: int, **extra) -> Non
         violations.append({"kind": tag, "matrix": _matrix_json(mat, q), **extra})
 
 
-# ---------------------------------------------------------------------------
-# checks
+class _ExhaustiveTheorem:
+    """The defective matrices of all of F_q^free_dim are exactly the union of
+    the component strata, and the rest are of generic type."""
 
-def check_theorem_exhaustive(cfg: ExperimentConfig) -> VerificationReport:
-    """Enumerate the whole nilradical over F_q: the defective matrices must be
-    exactly the union of the component strata, and the rest of generic type."""
-    start = time.perf_counter()
-    if cfg.mode != "exhaustive":
-        raise ConfigError("check_theorem_exhaustive needs mode='exhaustive'")
-    d = cfg.d
-    tab = window_tables(d)
-    q = cfg.fieldsize
-    lam_pairs = sorted(lambda_pairs(d))
-    counts = {
-        "total": 0, "richardson": 0, "defective": 0, "covered": 0,
-        "uncovered": 0, "rank_excess": 0, "richardson_defective": 0,
-        "richardson_in_stratum": 0,
-        "per_stratum": {f"{i},{j}": 0 for i, j in lam_pairs},
-    }
-    violations: list = []
-    if d.t == 1:
-        counts["total"] = 1
-        counts["richardson"] = 1
-        report = VerificationReport(cfg.to_json_dict(), [
-            CheckResult("theorem_exhaustive", True, counts, violations)
-        ])
-        report.timing_s = time.perf_counter() - start
-        return report
+    def __init__(self, cfg: ExperimentConfig, tab: WindowTables):
+        self.q = cfg.fieldsize
+        self.lam = tab.lam
+        self.lam_pairs = [pq for pq, on in zip(tab.pairs, tab.lam) if on]
+        self.counts = {
+            "total": 0, "richardson": 0, "defective": 0, "covered": 0,
+            "uncovered": 0, "rank_excess": 0, "richardson_defective": 0,
+            "richardson_in_stratum": 0,
+            "per_stratum": {f"{i},{j}": 0 for i, j in self.lam_pairs},
+        }
+        self.violations: list = []
 
-    for first, mats in _exhaustive_batches(cfg, tab):
-        defects, excess, rich, dfct, covered, member, lam_idx = _flags(mats, tab, q)
-        counts["total"] += mats.shape[0]
-        counts["richardson"] += int(rich.sum())
-        counts["defective"] += int(dfct.sum())
-        counts["covered"] += int(covered.sum())
-        counts["rank_excess"] += int(excess.sum())
-        for col, (i, j) in enumerate(lam_pairs):
-            counts["per_stratum"][f"{i},{j}"] += int(member[:, col].sum())
-        uncovered = dfct & ~covered
+    def feed(self, b: _Batch) -> None:
+        counts = self.counts
+        uncovered = b.defective & ~b.covered
+        rich_def = b.richardson & b.defective
+        counts["total"] += b.mats.shape[0]
+        counts["richardson"] += int(b.richardson.sum())
+        counts["defective"] += int(b.defective.sum())
+        counts["covered"] += int(b.covered.sum())
         counts["uncovered"] += int(uncovered.sum())
-        rich_def = rich & dfct
+        counts["rank_excess"] += int(b.excess.sum())
         counts["richardson_defective"] += int(rich_def.sum())
-        rich_cov = rich & covered
-        counts["richardson_in_stratum"] += int(rich_cov.sum())
-        for b in np.nonzero(uncovered)[0]:
-            _record(violations, "uncovered_defective", mats[b], q, index=int(first + b))
-        for b in np.nonzero(rich_def)[0]:
-            _record(violations, "richardson_defective", mats[b], q, index=int(first + b))
-        for b in np.nonzero(excess)[0]:
-            _record(violations, "rank_excess", mats[b], q, index=int(first + b))
+        counts["richardson_in_stratum"] += int((b.richardson & b.covered).sum())
+        member = b.stratum[:, self.lam].sum(axis=0)
+        for (i, j), hits in zip(self.lam_pairs, member):
+            counts["per_stratum"][f"{i},{j}"] += int(hits)
+        for tag, bad in (("uncovered_defective", uncovered),
+                         ("richardson_defective", rich_def), ("rank_excess", b.excess)):
+            for r in np.nonzero(bad)[0]:
+                _record(self.violations, tag, b.mats[r], self.q, index=int(b.first + r))
 
-    passed = (
-        counts["uncovered"] == 0
-        and counts["rank_excess"] == 0
-        and counts["richardson_defective"] == 0
-        and counts["richardson_in_stratum"] == 0
-        and counts["richardson"] + counts["defective"] == counts["total"]
-    )
-    report = VerificationReport(cfg.to_json_dict(), [
-        CheckResult("theorem_exhaustive", passed, counts, violations)
-    ])
-    report.timing_s = time.perf_counter() - start
-    return report
+    def results(self) -> list[CheckResult]:
+        counts = self.counts
+        passed = (
+            counts["uncovered"] == 0
+            and counts["rank_excess"] == 0
+            and counts["richardson_defective"] == 0
+            and counts["richardson_in_stratum"] == 0
+            and counts["richardson"] + counts["defective"] == counts["total"]
+        )
+        return [CheckResult("theorem_exhaustive", passed, counts, self.violations)]
 
 
-def check_theorem_sampled(cfg: ExperimentConfig) -> VerificationReport:
-    """Sampled theorem check over F_p: records the generic-type frequency of
-    uniform matrices and demands that every forced-defect matrix lies in some
-    component stratum."""
-    start = time.perf_counter()
-    if cfg.mode != "sample":
-        raise ConfigError("check_theorem_sampled needs mode='sample'")
-    d = cfg.d
-    tab = window_tables(d)
-    q = cfg.fieldsize
-    checks = []
+class _SampledTheorem:
+    """Records the generic-type frequency of uniform matrices and demands
+    that every forced-defect matrix lies in some component stratum."""
 
-    counts_g = {"trials": cfg.trials, "richardson": 0, "defective_uncovered": 0}
-    violations_g: list = []
-    if d.t == 1:
-        counts_g["richardson"] = cfg.trials
-        counts_g["richardson_frequency"] = 1.0
-        checks.append(CheckResult("generic_sampling", True, counts_g, violations_g))
-        checks.append(CheckResult(
-            "forced_defect_coverage", True,
-            {"trials": 0, "defective": 0, "covered": 0, "soundness_failures": 0}, []))
-        report = VerificationReport(cfg.to_json_dict(), checks)
-        report.timing_s = time.perf_counter() - start
-        return report
+    def __init__(self, cfg: ExperimentConfig, tab: WindowTables):
+        self.q = cfg.fieldsize
+        self.checks: list[CheckResult] = []
 
-    mats = _generic_sample(cfg, tab)
-    _, excess, rich, dfct, covered, _, _ = _flags(mats, tab, q)
-    counts_g["richardson"] = int(rich.sum())
-    counts_g["richardson_frequency"] = counts_g["richardson"] / cfg.trials
-    bad = (dfct & ~covered) | excess | (rich & dfct)
-    counts_g["defective_uncovered"] = int((dfct & ~covered).sum())
-    for b in np.nonzero(bad)[0]:
-        _record(violations_g, "generic_violation", mats[b], q, index=int(b))
-    checks.append(CheckResult(
-        "generic_sampling", not bad.any(), counts_g, violations_g))
+    def feed(self, b: _Batch) -> None:
+        uncovered = b.defective & ~b.covered
+        rich_def = b.richardson & b.defective
+        trials = b.mats.shape[0]
+        violations: list = []
+        if b.population == "generic":
+            bad = uncovered | b.excess | rich_def
+            counts = {"trials": trials, "richardson": int(b.richardson.sum()),
+                      "defective_uncovered": int(uncovered.sum())}
+            counts["richardson_frequency"] = counts["richardson"] / trials
+            for r in np.nonzero(bad)[0]:
+                _record(violations, "generic_violation", b.mats[r], self.q, index=int(r))
+            self.checks.append(CheckResult("generic_sampling", not bad.any(), counts, violations))
+            return
+        pi, k = b.forced.T
+        unsound = ~b.defects[np.arange(trials), pi, k - 1]
+        counts = {
+            "trials": trials,
+            "defective": int(b.defective.sum()),
+            "covered": int(b.covered.sum()),
+            "uncovered": int(uncovered.sum()),
+            "soundness_failures": int(unsound.sum()),
+        }
+        for tag, bad in (("forced_defect_unsound", unsound), ("uncovered_defective", uncovered)):
+            for r in np.nonzero(bad)[0]:
+                _record(violations, tag, b.mats[r], self.q, index=int(r))
+        passed = not (unsound.any() or uncovered.any() or b.excess.any() or rich_def.any())
+        self.checks.append(CheckResult("forced_defect_coverage", passed, counts, violations))
 
-    mats_f, forced = _forced_sample(cfg, tab)
-    defects, excess_f, rich_f, dfct_f, covered_f, _, _ = _flags(mats_f, tab, q)
-    sound = np.array([
-        bool(defects[b, pi, k - 1]) for b, (pi, k) in enumerate(forced)
-    ])
-    counts_f = {
-        "trials": cfg.trials,
-        "defective": int(dfct_f.sum()),
-        "covered": int(covered_f.sum()),
-        "uncovered": int((dfct_f & ~covered_f).sum()),
-        "soundness_failures": int((~sound).sum()),
-    }
-    violations_f: list = []
-    for b in np.nonzero(~sound)[0]:
-        _record(violations_f, "forced_defect_unsound", mats_f[b], q, index=int(b))
-    for b in np.nonzero(dfct_f & ~covered_f)[0]:
-        _record(violations_f, "uncovered_defective", mats_f[b], q, index=int(b))
-    passed_f = counts_f["uncovered"] == 0 and counts_f["soundness_failures"] == 0 \
-        and not excess_f.any() and not (rich_f & dfct_f).any()
-    checks.append(CheckResult("forced_defect_coverage", passed_f, counts_f, violations_f))
-
-    report = VerificationReport(cfg.to_json_dict(), checks)
-    report.timing_s = time.perf_counter() - start
-    return report
+    def results(self) -> list[CheckResult]:
+        return self.checks
 
 
-def _lemma_violations(defects: np.ndarray, tab: WindowTables):
-    """Per-matrix lemma verdicts on a batch of defect flags; returns a dict of
-    boolean violation arrays.
+_LEMMAS = ("below_threshold", "above_threshold", "outside_gamma", "absorbed")
+
+
+def _lemma_violations(b: _Batch, tab: WindowTables, low: np.ndarray,
+                      high: np.ndarray, flank: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-matrix lemma verdicts on a batch; returns a dict of boolean
+    violation arrays.  ``low`` and ``high`` mask the (pair, exponent) cells
+    below and above kappa (``high`` only for pairs with a small intermediate);
+    ``flank[P, Q]`` marks Q = (i, m) or (m, j) for a small intermediate m of
+    P = (i, j).
 
     below_threshold states that a defect at any exponent below the threshold
     forces the stratum membership itself.  This containment is FALSE in
@@ -389,101 +388,142 @@ def _lemma_violations(defects: np.ndarray, tab: WindowTables):
     asserts, membership in some stratum indexed inside gamma_pairs(d) (the
     single-flank routing of the proof is provably too strong).
     """
-    lam_idx = np.nonzero(tab.lam)[0]
-    covered = defects[:, lam_idx, tab.kappas[lam_idx] - 1].any(axis=1)
-    nb = defects.shape[0]
-    out = {
-        "below_threshold": np.zeros(nb, dtype=bool),   # defect at l < kappa forces the stratum
-        "above_threshold": np.zeros(nb, dtype=bool),   # defect at l > kappa forces a flanking stratum
-        "outside_gamma": np.zeros(nb, dtype=bool),     # non-gamma strata split at an intermediate
-        "absorbed": np.zeros(nb, dtype=bool),          # gamma-minus-lambda strata land in a component
+    stratum = b.stratum
+    in_flank = stratum @ flank.T    # boolean: some flanking stratum, per pair
+    return {
+        "below_threshold": ((b.defects & low).any(axis=2) & ~stratum).any(axis=1),
+        "above_threshold": ((b.defects & high).any(axis=2) & ~in_flank).any(axis=1),
+        "outside_gamma": stratum[:, ~tab.gamma].any(axis=1)
+        & ~stratum[:, tab.gamma].any(axis=1),
+        "absorbed": stratum[:, tab.gamma & ~tab.lam].any(axis=1) & ~b.covered,
     }
-    for pi, l in tab.low_rules:
-        kap = tab.kappas[pi]
-        out["below_threshold"] |= defects[:, pi, l - 1] & ~defects[:, pi, kap - 1]
-    for pi, l, options in tab.high_rules:
-        hit = np.zeros(nb, dtype=bool)
-        for pa, pb in options:
-            hit |= defects[:, pa, tab.kappas[pa] - 1] | defects[:, pb, tab.kappas[pb] - 1]
-        out["above_threshold"] |= defects[:, pi, l - 1] & ~hit
-    gamma_idx = np.nonzero(tab.gamma)[0]
-    in_gamma_stratum = defects[:, gamma_idx, tab.kappas[gamma_idx] - 1].any(axis=1)
-    for pi in tab.split_rules:
-        out["outside_gamma"] |= defects[:, pi, tab.kappas[pi] - 1] & ~in_gamma_stratum
-    for pi in tab.absorb_rules:
-        out["absorbed"] |= defects[:, pi, tab.kappas[pi] - 1] & ~covered
-    return out
+
+
+class _Lemmas:
+    """Pointwise lemma containments on the population, plus the symbolic
+    checks that need no matrices (window rank positivity and the box-count
+    identity between kappa and the shared tableau row)."""
+
+    def __init__(self, cfg: ExperimentConfig, tab: WindowTables):
+        self.d = cfg.d
+        self.q = cfg.fieldsize
+        self.tab = tab
+        index = {pq: n for n, pq in enumerate(tab.pairs)}
+        self.flank = np.zeros((len(tab.pairs), len(tab.pairs)), dtype=bool)
+        for n, (i, j) in enumerate(tab.pairs):
+            for m in low_intermediates(self.d, i, j):
+                self.flank[n, [index[i, m], index[m, j]]] = True
+        power = np.arange(1, tab.kmax + 1)
+        self.low = power < tab.kappas[:, None]
+        self.high = (power > tab.kappas[:, None]) & self.flank.any(axis=1)[:, None]
+        self.population = 0
+        self.totals = {name: 0 for name in _LEMMAS}
+        self.violations: dict[str, list] = {name: [] for name in _LEMMAS}
+
+    def feed(self, b: _Batch) -> None:
+        self.population += b.mats.shape[0]
+        verdicts = _lemma_violations(b, self.tab, self.low, self.high, self.flank)
+        for name in _LEMMAS:
+            bad = verdicts[name]
+            self.totals[name] += int(bad.sum())
+            for r in np.nonzero(bad)[0]:
+                _record(self.violations[name], name, b.mats[r], self.q)
+
+    def results(self) -> list[CheckResult]:
+        d = self.d
+        checks = []
+
+        # window rank positivity: r(i,j,k) > 0 exactly for k <= j - i
+        pos_bad = []
+        for i in range(1, d.t):
+            for j in range(i + 1, d.t + 1):
+                for k in range(1, d.t + 1):
+                    r = max_window_rank(d, i, j, k)
+                    if (r > 0) != (k <= j - i):
+                        pos_bad.append((i, j, k, r))
+        checks.append(CheckResult(
+            "empty_stratum_symbolic", not pos_bad,
+            {"windows": (d.t * (d.t - 1)) // 2, "violations": len(pos_bad)},
+            [{"kind": "rank_positivity", "window": v} for v in pos_bad[:_VIOLATION_CAP]],
+        ))
+
+        # kappa vs the shared row of the maximal tableau
+        tb = richardson_tableau(d)
+        kt_bad = []
+        for i in range(1, d.t):
+            for j in range(i + 1, d.t + 1):
+                row = tb.rows[shared_row(d, i, j) - 1]
+                between = sum(1 for v in row if i < v < j)
+                if between != kappa(d, i, j) - 1:
+                    kt_bad.append((i, j))
+        checks.append(CheckResult(
+            "kappa_tableau_identity", not kt_bad,
+            {"pairs": (d.t * (d.t - 1)) // 2, "violations": len(kt_bad)},
+            [{"kind": "kappa_tableau", "pair": list(v)} for v in kt_bad[:_VIOLATION_CAP]],
+        ))
+
+        for name in _LEMMAS:
+            checks.append(CheckResult(
+                f"lemma_{name}", self.totals[name] == 0,
+                {"population": self.population, "violations": self.totals[name]},
+                self.violations[name]))
+        return checks
+
+
+_CHECKS = ("counts", "theorem", "lemmas")
+
+
+def run_checks(cfg: ExperimentConfig, checks=("theorem", "lemmas")) -> VerificationReport:
+    """Run the selected checks ("counts", "theorem", "lemmas") in one pass.
+
+    The population follows cfg.mode: all of F_q^free_dim in decode batches
+    (exhaustive), or the generic sample and then the forced-defect sample.
+    Each batch is ranked once, and the theorem and lemma reducers read the
+    same flags.  Results come in the order counts, theorem, lemmas.
+    """
+    start = time.perf_counter()
+    unknown = set(checks) - set(_CHECKS)
+    if unknown:
+        raise ConfigError(f"unknown checks {sorted(unknown)}")
+    tab = window_tables(cfg.d)
+    results = check_component_count(cfg).checks if "counts" in checks else []
+    reducers = []
+    if "theorem" in checks:
+        theorem = _ExhaustiveTheorem if cfg.mode == "exhaustive" else _SampledTheorem
+        reducers.append(theorem(cfg, tab))
+    if "lemmas" in checks:
+        reducers.append(_Lemmas(cfg, tab))
+    if reducers:
+        for batch in _batches(cfg, tab):
+            for reducer in reducers:
+                reducer.feed(batch)
+    for reducer in reducers:
+        results.extend(reducer.results())
+    report = VerificationReport(cfg.to_json_dict(), results, len(lambda_pairs(cfg.d)))
+    report.timing_s = time.perf_counter() - start
+    return report
+
+
+def check_theorem_exhaustive(cfg: ExperimentConfig) -> VerificationReport:
+    """Enumerate the whole nilradical over F_q: the defective matrices must be
+    exactly the union of the component strata, and the rest of generic type."""
+    if cfg.mode != "exhaustive":
+        raise ConfigError("check_theorem_exhaustive needs mode='exhaustive'")
+    return run_checks(cfg, ("theorem",))
+
+
+def check_theorem_sampled(cfg: ExperimentConfig) -> VerificationReport:
+    """Sampled theorem check over F_p: generic-type frequency of uniform
+    matrices, and coverage of every forced-defect matrix by a component."""
+    if cfg.mode != "sample":
+        raise ConfigError("check_theorem_sampled needs mode='sample'")
+    return run_checks(cfg, ("theorem",))
 
 
 def check_lemmas(cfg: ExperimentConfig) -> VerificationReport:
     """Pointwise lemma containments on the configured population, plus the
-    symbolic checks that need no matrices (window rank positivity and the
-    box-count identity between kappa and the shared tableau row)."""
-    start = time.perf_counter()
-    d = cfg.d
-    tab = window_tables(d)
-    q = cfg.fieldsize
-    checks = []
-
-    # window rank positivity: r(i,j,k) > 0 exactly for k <= j - i
-    pos_bad = []
-    for i in range(1, d.t):
-        for j in range(i + 1, d.t + 1):
-            for k in range(1, d.t + 1):
-                r = max_window_rank(d, i, j, k)
-                if (r > 0) != (k <= j - i):
-                    pos_bad.append((i, j, k, r))
-    checks.append(CheckResult(
-        "empty_stratum_symbolic", not pos_bad,
-        {"windows": (d.t * (d.t - 1)) // 2, "violations": len(pos_bad)},
-        [{"kind": "rank_positivity", "window": v} for v in pos_bad[:_VIOLATION_CAP]],
-    ))
-
-    # kappa vs the shared row of the maximal tableau
-    tb = richardson_tableau(d)
-    kt_bad = []
-    for i in range(1, d.t):
-        for j in range(i + 1, d.t + 1):
-            row = tb.rows[shared_row(d, i, j) - 1]
-            between = sum(1 for v in row if i < v < j)
-            if between != kappa(d, i, j) - 1:
-                kt_bad.append((i, j))
-    checks.append(CheckResult(
-        "kappa_tableau_identity", not kt_bad,
-        {"pairs": (d.t * (d.t - 1)) // 2, "violations": len(kt_bad)},
-        [{"kind": "kappa_tableau", "pair": list(v)} for v in kt_bad[:_VIOLATION_CAP]],
-    ))
-
-    names = ("below_threshold", "above_threshold", "outside_gamma", "absorbed")
-    totals = {name: 0 for name in names}
-    violations: dict[str, list] = {name: [] for name in names}
-    scanned = 0
-    if d.t > 1:
-        if cfg.mode == "exhaustive":
-            batches = ((m, None) for _, m in _exhaustive_batches(cfg, tab))
-        else:
-            mats_g = _generic_sample(cfg, tab)
-            mats_f, _ = _forced_sample(cfg, tab)
-            batches = iter([(mats_g, None), (mats_f, None)])
-        for mats, _ in batches:
-            scanned += mats.shape[0]
-            defects = defect_flags(rank_tables(mats, tab, q), tab)
-            verdicts = _lemma_violations(defects, tab)
-            for name in names:
-                bad = verdicts[name]
-                totals[name] += int(bad.sum())
-                for b in np.nonzero(bad)[0]:
-                    _record(violations[name], name, mats[b], q)
-    for name in names:
-        checks.append(CheckResult(
-            f"lemma_{name}", totals[name] == 0,
-            {"population": scanned, "violations": totals[name]},
-            violations[name],
-        ))
-
-    report = VerificationReport(cfg.to_json_dict(), checks)
-    report.timing_s = time.perf_counter() - start
-    return report
+    symbolic checks that need no matrices."""
+    return run_checks(cfg, ("lemmas",))
 
 
 def random_composition(rng: np.random.Generator, max_t: int = 6,

@@ -22,9 +22,7 @@ from rorc import (
     ExactMatrix,
     ExperimentConfig,
     check_component_count,
-    check_lemmas,
     check_theorem_exhaustive,
-    check_theorem_sampled,
     decompose,
     dominance_leq,
     gamma_pairs,
@@ -38,6 +36,7 @@ from rorc import (
     richardson_element,
     richardson_partition,
     richardson_tableau,
+    run_checks,
     shape_chains,
     shared_row,
     tableau_to_chain,
@@ -54,6 +53,19 @@ POPULATION_SEED = 20240
 def random_population():
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(POPULATION_SEED)))
     return [random_composition(rng, max_t=6, max_part=4) for _ in range(100)]
+
+
+@pytest.fixture(scope="module")
+def population_checks(random_population):
+    """One verification pass per population composition (F_32003, 10^3
+    trials, seed POPULATION_SEED + idx): criteria 4 and 5 read the theorem
+    and lemma checks of the same ranked matrices, by check name."""
+    out = []
+    for idx, d in enumerate(random_population):
+        cfg = ExperimentConfig(d=d, mode="sample", fieldsize=32003,
+                               trials=1000, seed=POPULATION_SEED + idx)
+        out.append({c.name: c for c in run_checks(cfg, ("theorem", "lemmas")).checks})
+    return out
 
 
 def test_criterion_1_parameter_sets():
@@ -117,16 +129,13 @@ def test_criterion_3_gl5_suite():
     print(f"\ncriterion 3: PASS - GL5 exhaustive F2 suite, 15 compositions ({elapsed:.1f}s)")
 
 
-def test_criterion_4_theorem_sampling(random_population):
+def test_criterion_4_theorem_sampling(random_population, population_checks):
     total = hits = 0
-    for idx, d in enumerate(random_population):
-        cfg = ExperimentConfig(d=d, mode="sample", fieldsize=32003,
-                               trials=1000, seed=POPULATION_SEED + idx)
-        rep = check_theorem_sampled(cfg)
-        for check in rep.checks:
+    for d, by_name in zip(random_population, population_checks):
+        generic = by_name["generic_sampling"]
+        forced = by_name["forced_defect_coverage"]
+        for check in (generic, forced):
             assert check.passed, (d.parts, check.name, check.counts)
-        generic = next(c for c in rep.checks if c.name == "generic_sampling")
-        forced = next(c for c in rep.checks if c.name == "forced_defect_coverage")
         assert forced.counts["uncovered"] == 0
         assert forced.counts["soundness_failures"] == 0
         total += generic.counts["trials"]
@@ -148,7 +157,7 @@ def _refutes_low_power_containment(a: ExactMatrix, d: Composition) -> bool:
     )
 
 
-def test_criterion_5_lemma_suite(random_population):
+def test_criterion_5_lemma_suite(random_population, population_checks):
     """The five lemma containments on the sampled population.
 
     The four sound containments, and the symbolic kappa/tableau identity,
@@ -165,11 +174,7 @@ def test_criterion_5_lemma_suite(random_population):
     population = 0
     red = 0
     recertified = 0
-    for idx, d in enumerate(random_population):
-        cfg = ExperimentConfig(d=d, mode="sample", fieldsize=32003,
-                               trials=1000, seed=POPULATION_SEED + idx)
-        rep = check_lemmas(cfg)
-        by_name = {c.name: c for c in rep.checks}
+    for d, by_name in zip(random_population, population_checks):
         for name in sound:
             assert by_name[name].passed, (d.parts, name, by_name[name].counts)
         below = by_name["lemma_below_threshold"]

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from rorc.cli import main
+from rorc.verify import ConfigError
 
 
 def run(capsys, *argv):
@@ -182,6 +185,23 @@ def test_seed_env_fallback(capsys, monkeypatch):
 
     args = build_parser().parse_args(["verify", "-d", "1,1"])
     assert args.seed == 99
-    monkeypatch.setenv("RORC_SEED", "not-an-int")
+    monkeypatch.setenv("RORC_SEED", "")
     args = build_parser().parse_args(["verify", "-d", "1,1"])
     assert args.seed == 0
+    monkeypatch.setenv("RORC_SEED", "not-an-int")
+    with pytest.raises(ConfigError, match="RORC_SEED"):
+        build_parser()
+
+
+def test_malformed_seed_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("RORC_SEED", "abc")
+    code, _, err = run(capsys, "verify", "-d", "1,1", "--trials", "5")
+    assert code == 2 and "RORC_SEED" in err
+    code, _, err = run(capsys, "witness", "-d", "1,1", "--pair", "1,2")
+    assert code == 2 and "RORC_SEED" in err
+
+
+def test_verify_rejects_field_beyond_int64_bound(capsys):
+    # 8 * (p - 1)^2 >= 2^63 at p = 2^31 - 1: the int64 kernels would wrap
+    code, _, err = run(capsys, "verify", "-d", "2,2,2,2", "--field", "2147483647")
+    assert code == 2 and "2^63" in err

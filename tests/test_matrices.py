@@ -158,6 +158,16 @@ def test_field_validation():
     assert _is_prime(2) and _is_prime(32003) and not _is_prime(1)
 
 
+def test_prime_bounded_by_int64_products():
+    # 4 x 4 of p - 1 at p = 2^31 - 1 would wrap int64 in the product kernel
+    p = 2**31 - 1
+    with pytest.raises(ValueError, match="2\\^63"):
+        ExactMatrix([[p - 1] * 4] * 4, field=f"Fp:{p}")
+    # two columns stay below the bound and multiply exactly: 2 (p-1)^2 = 2 mod p
+    a = ExactMatrix([[p - 1] * 2] * 2, field=f"Fp:{p}")
+    assert a.mul(a).rows == ((2, 2), (2, 2))
+
+
 def test_immutability_and_equality():
     a = ExactMatrix([[0, 1], [0, 0]])
     with pytest.raises(AttributeError):

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +199,27 @@ def test_witness_single_stratum():
     d = Composition.of(2, 1, 2)
     w = witness(d, (1, 3))
     assert in_stratum(w, d, 1, 3)
+
+
+def test_witness_certification_survives_optimize():
+    # under python -O an assert would vanish; certify must still reject a
+    # screened matrix that the exact predicate places outside the stratum
+    script = (
+        "import rorc.strata as s\n"
+        "s.in_stratum = lambda *args: False\n"
+        "try:\n"
+        "    s.witness(s.Composition.of(2, 1, 2), (1, 3))\n"
+        "except AssertionError:\n"
+        "    print('rejected')\n"
+        "else:\n"
+        "    print('returned')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "rejected"
 
 
 def test_witness_running_example_separates():

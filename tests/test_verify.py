@@ -6,16 +6,31 @@ import pytest
 from rorc import (
     Composition,
     ConfigError,
+    ExactMatrix,
     ExperimentConfig,
     InfeasibleError,
     check_component_count,
     check_lemmas,
     check_theorem_exhaustive,
     check_theorem_sampled,
+    gamma_pairs,
     gl5_fixture_suite,
+    in_stratum,
+    kappa,
     lambda_pairs,
+    low_intermediates,
+    rank_defect,
 )
-from rorc.verify import GL5_EXPECTED, compositions_of, random_composition
+from rorc.strata import window_tables
+from rorc.verify import (
+    _LEMMAS,
+    GL5_EXPECTED,
+    _batches,
+    _Lemmas,
+    _lemma_violations,
+    compositions_of,
+    random_composition,
+)
 
 
 def _check(report, name):
@@ -31,6 +46,14 @@ def test_config_validation():
         ExperimentConfig(d=Composition.of(1, 1), trials=0)
     cfg = ExperimentConfig(d=Composition.of(2, 1, 2))
     assert cfg.free_dim == 8
+
+
+def test_config_bounds_field_by_int64_products():
+    with pytest.raises(ConfigError, match="2\\^63"):
+        ExperimentConfig(d=Composition.of(2, 2, 2, 2), fieldsize=2147483647)
+    running = ExperimentConfig(d=Composition.of(7, 5, 2, 3, 5, 1, 2, 6, 5),
+                               fieldsize=32003)
+    assert running.d.n == 36
 
 
 def test_exhaustive_trivial_cases():
@@ -192,3 +215,43 @@ def test_config_coerces_plain_tuples():
     cfg = ExperimentConfig(d=(2, 1, 2), mode="exhaustive", fieldsize=2)
     assert cfg.d == Composition.of(2, 1, 2)
     assert check_theorem_exhaustive(cfg).passed
+
+
+def _pointwise_lemmas(a: ExactMatrix, d: Composition) -> dict[str, bool]:
+    """The four lemma violations of one matrix, pair by pair, from the exact
+    predicates of rorc.strata."""
+    pairs = [(i, j) for i in range(1, d.t) for j in range(i + 1, d.t + 1)]
+    z = {pq: in_stratum(a, d, *pq) for pq in pairs}
+    gamma, lam = gamma_pairs(d), lambda_pairs(d)
+    return {
+        "below_threshold": any(
+            rank_defect(a, d, i, j, l) and not z[i, j]
+            for i, j in pairs for l in range(1, kappa(d, i, j))),
+        "above_threshold": any(
+            rank_defect(a, d, i, j, l)
+            and not any(z[i, m] or z[m, j] for m in low_intermediates(d, i, j))
+            for i, j in pairs if low_intermediates(d, i, j)
+            for l in range(kappa(d, i, j) + 1, j - i + 1)),
+        "outside_gamma": any(z[pq] for pq in pairs if pq not in gamma)
+        and not any(z[pq] for pq in gamma),
+        "absorbed": any(z[pq] for pq in gamma - lam) and not any(z[pq] for pq in lam),
+    }
+
+
+def test_lemma_masks_match_pointwise_definitions():
+    # the lemma verdicts are masks over one per-batch stratum array; they must
+    # agree with the containments evaluated matrix by matrix
+    seen = dict.fromkeys(_LEMMAS, False)
+    for parts in ((1, 3, 2), (2, 1, 2, 1, 2), (3, 1, 1, 3), (2, 2, 1)):
+        d = Composition(parts)
+        cfg = ExperimentConfig(d=d, mode="sample", fieldsize=3, trials=25, seed=5)
+        tab = window_tables(d)
+        lemmas = _Lemmas(cfg, tab)
+        for batch in _batches(cfg, tab):
+            verdicts = _lemma_violations(batch, tab, lemmas.low, lemmas.high, lemmas.flank)
+            for r, mat in enumerate(batch.mats):
+                expected = _pointwise_lemmas(ExactMatrix(mat.tolist(), "Fp:3"), d)
+                assert {name: bool(verdicts[name][r]) for name in _LEMMAS} == expected
+                for name, bad in expected.items():
+                    seen[name] |= bad
+    assert seen["below_threshold"]
