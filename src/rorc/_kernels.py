@@ -1,251 +1,91 @@
-"""Mod-p matrix kernels: elimination rank, powers, and batched window rank tables.
-
-Two interchangeable backends compute identical results:
-
-* ``numba`` (default when importable): loop kernels compiled with ``@njit``.
-* ``numpy``: vectorized fallback, no compilation.
-
-Selection: set ``RORC_BACKEND=numpy`` or ``RORC_BACKEND=numba``; unset picks
-numba when available.  Both implementations stay importable (``*_numpy`` /
-``*_numba``) so tests and the benchmark can compare them directly.
+"""Mod-p matrix kernels: batched elimination rank, products, window rank
+tables and the exhaustive enumeration decode.
 
 All kernels take int64 arrays with entries reduced mod a prime p.  Elimination
 uses cross-multiplied rows (r <- pivot*r - f*pivot_row), which never needs
-modular inverses; intermediates are bounded by n*p^2, far below 2^63 for the
-matrix sizes and primes used here (p = 32003 by default).
+modular inverses, and products reduce once per product; every intermediate is
+bounded by n*(p-1)^2, which the callers keep below 2^63.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_env = os.environ.get("RORC_BACKEND", "").strip().lower()
-if _env not in ("", "numba", "numpy"):
-    raise ValueError(f"RORC_BACKEND must be 'numba' or 'numpy', got {_env!r}")
-
-if _env == "numpy":
-    _numba = None
-else:
-    try:
-        import numba as _numba
-    except ImportError:
-        _numba = None
-        if _env == "numba":
-            raise
-
-BACKEND = "numba" if _numba is not None else "numpy"
+# Matrices ranked together by window_rank_table: bounds the working set
+# whatever the size of the batch handed in.
+_SLICE = 256
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
+def rank_mod(mats, p: int):
+    """Ranks over F_p of a batch ``(B, r, c)``, or the rank of one ``(r, c)``.
 
-def rank_mod_numpy(mat: np.ndarray, p: int) -> int:
-    """Rank of ``mat`` over F_p by row-vectorized Gaussian elimination."""
-    m = np.asarray(mat, dtype=np.int64) % p
-    nr, nc = m.shape
-    rank = 0
+    Elimination runs over the shorter side (rank is transpose-invariant) for
+    the whole batch at once: a free-row mask replaces row swaps, and each
+    step updates the live columns in place.  A member without a pivot in the
+    current column is left unchanged.
+    """
+    m = np.asarray(mats, dtype=np.int64) % p
+    single = m.ndim == 2
+    if single:
+        m = m[None]
+    if m.shape[1] < m.shape[2]:
+        m = m.transpose(0, 2, 1).copy()
+    nb, nr, nc = m.shape
+    members = np.arange(nb)
+    free = np.ones((nb, nr), dtype=bool)
+    rank = np.zeros(nb, dtype=np.int64)
     for col in range(nc):
-        nz = np.nonzero(m[rank:, col])[0]
-        if nz.size == 0:
+        cand = free & (m[:, :, col] != 0)
+        has = cand.any(1)
+        if not has.any():
             continue
-        piv = rank + nz[0]
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        pv = m[rank, col]
-        rows = rank + 1 + np.nonzero(m[rank + 1 :, col])[0]
-        if rows.size:
-            m[rows] = (m[rows] * pv - np.outer(m[rows, col], m[rank])) % p
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+        piv = cand.argmax(1)
+        pivot_row = m[members, piv, col + 1:]
+        pv = np.where(has, m[members, piv, col], 1)
+        free[members, piv] &= ~has
+        f = np.where(free, m[:, :, col], 0)
+        live = m[:, :, col + 1:]
+        live *= pv[:, None, None]
+        live -= f[:, :, None] * pivot_row[:, None, :]
+        live %= p
+        rank += has
+    return int(rank[0]) if single else rank
 
 
-def matmul_mod_numpy(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # n * p^2 < 2^63 for the sizes and primes used here
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """``a @ b`` mod p, for single matrices or batches."""
     return (a @ b) % p
 
 
-def window_rank_table_numpy(mats, starts, stops, spans, kmax, p):
+def window_rank_table(mats, starts, stops, spans, kmax, p):
     """Rank table R[b, pi, k-1] = rank((A_b window pi)^k) mod p, -1 padded."""
     mats = np.asarray(mats, dtype=np.int64)
     nb = mats.shape[0]
-    npairs = starts.shape[0]
-    table = np.full((nb, npairs, kmax), -1, dtype=np.int64)
-    for b in range(nb):
-        a = mats[b] % p
-        for pi in range(npairs):
-            lo, hi, span = starts[pi], stops[pi], spans[pi]
-            w = a[lo:hi, lo:hi]
+    table = np.full((nb, starts.shape[0], kmax), -1, dtype=np.int64)
+    for first in range(0, nb, _SLICE):
+        chunk = mats[first:first + _SLICE] % p
+        rows = table[first:first + _SLICE]
+        for pi, (lo, hi, span) in enumerate(zip(starts, stops, spans)):
+            w = chunk[:, lo:hi, lo:hi]
             wk = w
             for k in range(1, span + 1):
-                table[b, pi, k - 1] = rank_mod_numpy(wk, p)
+                rows[:, pi, k - 1] = rank_mod(wk, p)
                 if k < span:
-                    wk = matmul_mod_numpy(wk, w, p)
+                    wk = matmul_mod(wk, w, p)
     return table
 
 
-def decode_matrices_numpy(first, count, base, pos_r, pos_c, n):
+def decode_matrices(first, count, base, pos_r, pos_c, n):
     """Matrices for enumeration indices first..first+count-1 in base ``base``.
 
     Index x encodes free entries as base-``base`` digits, position 0 least
-    significant; all other entries are zero.
+    significant; all other entries are zero.  The caller keeps
+    ``base ** len(pos_r)`` below 2^63.
     """
-    m = pos_r.shape[0]
     idx = np.arange(first, first + count, dtype=np.int64)
     out = np.zeros((count, n, n), dtype=np.int64)
     scale = np.int64(1)
-    for e in range(m):
-        out[:, pos_r[e], pos_c[e]] = (idx // scale) % base
+    for r, c in zip(pos_r, pos_c):
+        out[:, r, c] = (idx // scale) % base
         scale *= base
     return out
-
-
-# ---------------------------------------------------------------------------
-# loop implementations (numba-compiled when the backend is numba)
-
-def _rank_mod_loops(m, p):
-    nr, nc = m.shape
-    rank = 0
-    for col in range(nc):
-        piv = -1
-        for r in range(rank, nr):
-            if m[r, col] != 0:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        if piv != rank:
-            for c in range(col, nc):
-                tmp = m[rank, c]
-                m[rank, c] = m[piv, c]
-                m[piv, c] = tmp
-        pv = m[rank, col]
-        for r in range(rank + 1, nr):
-            f = m[r, col]
-            if f == 0:
-                continue
-            for c in range(col, nc):
-                m[r, c] = (m[r, c] * pv - m[rank, c] * f) % p
-        rank += 1
-        if rank == nr:
-            break
-    return rank
-
-
-def _matmul_mod_loops(a, b, p):
-    n, m = a.shape
-    k = b.shape[1]
-    out = np.zeros((n, k), dtype=np.int64)
-    for i in range(n):
-        for j in range(k):
-            acc = np.int64(0)
-            for l in range(m):
-                acc += a[i, l] * b[l, j]
-            out[i, j] = acc % p
-    return out
-
-
-def _window_rank_table_loops(mats, starts, stops, spans, kmax, p):
-    nb = mats.shape[0]
-    npairs = starts.shape[0]
-    table = np.full((nb, npairs, kmax), -1, dtype=np.int64)
-    for b in range(nb):
-        for pi in range(npairs):
-            lo = starts[pi]
-            hi = stops[pi]
-            span = spans[pi]
-            s = hi - lo
-            w = np.empty((s, s), dtype=np.int64)
-            for r in range(s):
-                for c in range(s):
-                    w[r, c] = mats[b, lo + r, lo + c] % p
-            wk = w.copy()
-            for k in range(1, span + 1):
-                table[b, pi, k - 1] = _rank_mod_loops(wk.copy(), p)
-                if k < span:
-                    wk = _matmul_mod_loops(wk, w, p)
-    return table
-
-
-def _decode_matrices_loops(first, count, base, pos_r, pos_c, n):
-    m = pos_r.shape[0]
-    out = np.zeros((count, n, n), dtype=np.int64)
-    for b in range(count):
-        x = first + b
-        for e in range(m):
-            out[b, pos_r[e], pos_c[e]] = x % base
-            x //= base
-    return out
-
-
-if _numba is not None:
-    _jit = _numba.njit(cache=True)
-    _rank_mod_jit = _jit(_rank_mod_loops)
-    _matmul_mod_jit = _jit(_matmul_mod_loops)
-
-    @_numba.njit(cache=True)
-    def _window_rank_table_jit(mats, starts, stops, spans, kmax, p):  # pragma: no cover - mirrors _loops
-        nb = mats.shape[0]
-        npairs = starts.shape[0]
-        table = np.full((nb, npairs, kmax), -1, dtype=np.int64)
-        for b in range(nb):
-            for pi in range(npairs):
-                lo = starts[pi]
-                hi = stops[pi]
-                span = spans[pi]
-                s = hi - lo
-                w = np.empty((s, s), dtype=np.int64)
-                for r in range(s):
-                    for c in range(s):
-                        w[r, c] = mats[b, lo + r, lo + c] % p
-                wk = w.copy()
-                for k in range(1, span + 1):
-                    table[b, pi, k - 1] = _rank_mod_jit(wk.copy(), p)
-                    if k < span:
-                        wk = _matmul_mod_jit(wk, w, p)
-        return table
-
-    _decode_matrices_jit = _jit(_decode_matrices_loops)
-
-    def rank_mod_numba(mat, p):
-        m = np.array(mat, dtype=np.int64) % p
-        return int(_rank_mod_jit(m, p))
-
-    def matmul_mod_numba(a, b, p):
-        return _matmul_mod_jit(
-            np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64), p
-        )
-
-    def window_rank_table_numba(mats, starts, stops, spans, kmax, p):
-        return _window_rank_table_jit(
-            np.ascontiguousarray(mats, dtype=np.int64), starts, stops, spans, kmax, p
-        )
-
-    def decode_matrices_numba(first, count, base, pos_r, pos_c, n):
-        return _decode_matrices_jit(first, count, base, pos_r, pos_c, n)
-
-else:
-    rank_mod_numba = None
-    matmul_mod_numba = None
-    window_rank_table_numba = None
-    decode_matrices_numba = None
-
-
-# ---------------------------------------------------------------------------
-# backend-selected names used by the rest of the package
-
-if BACKEND == "numba":
-    rank_mod = rank_mod_numba
-    matmul_mod = matmul_mod_numba
-    window_rank_table = window_rank_table_numba
-    decode_matrices = decode_matrices_numba
-else:
-    def rank_mod(mat, p):
-        return rank_mod_numpy(mat, p)
-
-    matmul_mod = matmul_mod_numpy
-    window_rank_table = window_rank_table_numpy
-    decode_matrices = decode_matrices_numpy

@@ -182,7 +182,7 @@ class ExactMatrix:
 
     def rank(self) -> int:
         if self.p is not None:
-            return int(_kernels.rank_mod(self.to_numpy(), self.p))
+            return _kernels.rank_mod(self.to_numpy(), self.p)
         return _rank_bareiss(self._integer_rows())
 
     def jordan_type(self) -> tuple[int, ...]:

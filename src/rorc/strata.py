@@ -262,9 +262,7 @@ def rank_tables(mats: np.ndarray, tab: WindowTables, p: int) -> np.ndarray:
     if mats.ndim == 2:
         mats = mats[None, :, :]
     return _kernels.window_rank_table(
-        np.ascontiguousarray(mats, dtype=np.int64),
-        tab.starts, tab.stops, tab.spans, tab.kmax, p,
-    )
+        mats, tab.starts, tab.stops, tab.spans, tab.kmax, p)
 
 
 def defect_flags(ranks: np.ndarray, tab: WindowTables) -> np.ndarray:

@@ -148,6 +148,10 @@ def _exhaustive_total(cfg: ExperimentConfig) -> int:
             f"exhaustive scan needs {cfg.fieldsize}^{cfg.free_dim} = {total} matrices, "
             f"over the budget 2^{cfg.dim_cap} = {budget}; raise dim_cap or sample"
         )
+    if total >= 2 ** 63:
+        raise ConfigError(
+            f"exhaustive scan of {cfg.fieldsize}^{cfg.free_dim} matrices: "
+            "the int64 enumeration index needs q^free_dim < 2^63")
     return total
 
 
@@ -157,8 +161,7 @@ def _exhaustive_batches(cfg: ExperimentConfig, tab: WindowTables):
 
     total = _exhaustive_total(cfg)
     n = cfg.d.n
-    pos_r = np.ascontiguousarray(tab.positions[:, 0])
-    pos_c = np.ascontiguousarray(tab.positions[:, 1])
+    pos_r, pos_c = tab.positions.T
     first = 0
     while first < total:
         count = min(_BATCH, total - first)

@@ -205,3 +205,13 @@ def test_verify_rejects_field_beyond_int64_bound(capsys):
     # 8 * (p - 1)^2 >= 2^63 at p = 2^31 - 1: the int64 kernels would wrap
     code, _, err = run(capsys, "verify", "-d", "2,2,2,2", "--field", "2147483647")
     assert code == 2 and "2^63" in err
+
+
+def test_verify_rejects_exhaustive_index_beyond_int64(capsys):
+    # 2^64 matrices fit the 2^64 budget, but the enumeration index would wrap
+    code, _, err = run(capsys, "verify", "-d", "8,8", "--mode", "exhaustive",
+                       "--field", "2", "--dim-cap", "64")
+    assert code == 2 and "2^63" in err
+    code, _, _ = run(capsys, "verify", "-d", "2,2,2", "--mode", "exhaustive",
+                     "--field", "2")
+    assert code == 0

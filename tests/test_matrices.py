@@ -4,6 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from rorc import Composition, ExactMatrix, richardson_element
 from rorc import _kernels
@@ -178,23 +182,7 @@ def test_immutability_and_equality():
 
 
 # ---------------------------------------------------------------------------
-# kernel backends agree with each other and with the exact path
-
-
-def _random_mats(rng, count, n, p):
-    return rng.integers(0, p, size=(count, n, n), dtype=np.int64)
-
-
-def test_rank_mod_backends_agree():
-    rng = np.random.default_rng(73)
-    for p in (2, 3, 32003):
-        for _ in range(25):
-            n = int(rng.integers(1, 9))
-            m = rng.integers(0, p, size=(n, n), dtype=np.int64)
-            expected = rank_by_fractions_mod(m.tolist(), p)
-            assert _kernels.rank_mod_numpy(m.copy(), p) == expected
-            if _kernels.rank_mod_numba is not None:
-                assert _kernels.rank_mod_numba(m.copy(), p) == expected
+# the mod-p kernels against independent oracles
 
 
 def rank_by_fractions_mod(rows, p) -> int:
@@ -218,46 +206,93 @@ def rank_by_fractions_mod(rows, p) -> int:
     return rank
 
 
-def test_matmul_mod_backends_agree():
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_rank_mod_batches_match_inverse_oracle(p):
+    rng = np.random.default_rng(73 + p)
+    for _ in range(40):
+        count = int(rng.integers(1, 6))
+        r, c = (int(v) for v in rng.integers(1, 9, size=2))
+        if rng.random() < 0.5:
+            mats = rng.integers(0, p, size=(count, r, c), dtype=np.int64)
+        else:
+            # rank-deficient products (r x k)(k x c)
+            k = int(rng.integers(0, min(r, c) + 1))
+            mats = (rng.integers(0, p, size=(count, r, k), dtype=np.int64)
+                    @ rng.integers(0, p, size=(count, k, c), dtype=np.int64))
+        expected = [rank_by_fractions_mod(m.tolist(), p) for m in mats]
+        before = mats.copy()
+        assert _kernels.rank_mod(mats, p).tolist() == expected
+        assert _kernels.rank_mod(mats[0], p) == expected[0]
+        assert np.array_equal(mats, before)  # the input is not modified
+
+
+def test_rank_mod_member_without_pivot_keeps_its_matrix():
+    # member 0 has an all-zero first column, member 1 pivots on it: the
+    # elimination step for that column must leave member 0 as it is
+    mats = np.array([
+        [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+        [[1, 0, 0], [1, 1, 0], [0, 0, 1]],
+    ], dtype=np.int64)
+    assert _kernels.rank_mod(mats, 5).tolist() == [2, 3]
+
+
+def test_matmul_mod_matches_integer_products():
     rng = np.random.default_rng(79)
     p = 32003
     for _ in range(10):
-        n = int(rng.integers(1, 10))
-        a = _random_mats(rng, 1, n, p)[0]
-        b = _random_mats(rng, 1, n, p)[0]
-        expected = _kernels.matmul_mod_numpy(a, b, p)
-        if _kernels.matmul_mod_numba is not None:
-            assert np.array_equal(_kernels.matmul_mod_numba(a, b, p), expected)
+        n, m, k = (int(v) for v in rng.integers(1, 10, size=3))
+        a = rng.integers(0, p, size=(3, n, m), dtype=np.int64)
+        b = rng.integers(0, p, size=(3, m, k), dtype=np.int64)
+        got = _kernels.matmul_mod(a, b, p)
+        for x, y, z in zip(a.tolist(), b.tolist(), got.tolist()):
+            assert z == [[sum(x[i][l] * y[l][j] for l in range(m)) % p
+                          for j in range(k)] for i in range(n)]
 
 
-def test_window_rank_table_backends_agree():
+@pytest.mark.parametrize("nilradical", [True, False])
+def test_window_rank_table_matches_exact_windows(nilradical):
     from rorc.strata import window_tables
 
     rng = np.random.default_rng(83)
-    d = Composition.of(2, 1, 3, 2)
+    p = 101
+    d = Composition.of(2, 1, 2, 1)
     tab = window_tables(d)
-    mats = _random_mats(rng, 8, d.n, 101)
-    got_numpy = _kernels.window_rank_table_numpy(
-        mats, tab.starts, tab.stops, tab.spans, tab.kmax, 101)
-    if _kernels.window_rank_table_numba is not None:
-        got_numba = _kernels.window_rank_table_numba(
-            mats, tab.starts, tab.stops, tab.spans, tab.kmax, 101)
-        assert np.array_equal(got_numpy, got_numba)
-    # spot-check one cell against the exact path
-    a = ExactMatrix(mats[0].tolist(), field="Fp:101")
-    assert got_numpy[0, 0, 0] == a.window(d, 1, 2).rank()
+    count = _kernels._SLICE + 9  # crosses a slice boundary
+    mats = rng.integers(0, p, size=(count, d.n, d.n), dtype=np.int64)
+    if nilradical:
+        mask = np.zeros((d.n, d.n), dtype=bool)
+        mask[tab.positions[:, 0], tab.positions[:, 1]] = True
+        mats = np.where(mask, mats, 0)
+        mats[::4] %= 2  # rank-deficient members
+    table = _kernels.window_rank_table(
+        mats, tab.starts, tab.stops, tab.spans, tab.kmax, p)
+    assert table.shape == (count, len(tab.pairs), tab.kmax)
+    for b in range(count):
+        a = ExactMatrix(mats[b].tolist(), field=f"Fp:{p}")
+        for pi, (i, j) in enumerate(tab.pairs):
+            w = a.window(d, i, j)
+            span = int(tab.spans[pi])
+            assert table[b, pi].tolist() == (
+                [w.power(k).rank() for k in range(1, span + 1)]
+                + [-1] * (tab.kmax - span))
 
 
-def test_decode_matrices_backends_agree():
+def test_decode_matrices_spot_check():
     pos = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
-    got_numpy = _kernels.decode_matrices_numpy(0, 8, 2, pos[:, 0], pos[:, 1], 3)
-    assert got_numpy.shape == (8, 3, 3)
+    got = _kernels.decode_matrices(0, 8, 2, pos[:, 0], pos[:, 1], 3)
+    assert got.shape == (8, 3, 3)
     # index 5 = binary 101: positions 0 and 2 set
-    assert got_numpy[5, 0, 1] == 1 and got_numpy[5, 0, 2] == 0 and got_numpy[5, 1, 2] == 1
-    if _kernels.decode_matrices_numba is not None:
-        got_numba = _kernels.decode_matrices_numba(0, 8, 2, pos[:, 0], pos[:, 1], 3)
-        assert np.array_equal(got_numpy, got_numba)
+    assert got[5, 0, 1] == 1 and got[5, 0, 2] == 0 and got[5, 1, 2] == 1
 
 
-def test_backend_selection_reported():
-    assert _kernels.BACKEND in ("numba", "numpy")
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 32003]),
+       count=st.integers(1, 4), r=st.integers(1, 6), c=st.integers(1, 6))
+def test_rank_mod_matches_sympy_over_gf_p(data, p, count, r, c):
+    entries = st.lists(st.lists(st.integers(0, p - 1), min_size=c, max_size=c),
+                       min_size=r, max_size=r)
+    mats = [data.draw(entries) for _ in range(count)]
+    field = GF(p)
+    expected = [DomainMatrix([[field(v) for v in row] for row in m], (r, c), field).rank()
+                for m in mats]
+    assert _kernels.rank_mod(np.array(mats, dtype=np.int64), p).tolist() == expected
