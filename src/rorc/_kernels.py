@@ -57,21 +57,39 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a @ b) % p
 
 
-def window_rank_table(mats, starts, stops, spans, kmax, p):
-    """Rank table R[b, pi, k-1] = rank((A_b window pi)^k) mod p, -1 padded."""
+def window_rank_table(mats, offsets, pairs, p):
+    """Rank table R[b, pi, k-1] = rank((A_b window pi)^k) mod p, -1 padded.
+
+    ``offsets`` are the block boundaries 0 = o_0 < ... < o_t = n and
+    ``pairs`` the windows (i, j), blocks 1-based and inclusive.  Each A_b must
+    lie in the nilradical (nonzero mod p only in blocks strictly above the
+    diagonal blocks); anything else raises ValueError.  There the window of
+    A^k is the k-th power of the window of A, and it is zero outside row
+    blocks i..j-k and column blocks i+k..j.  So each slice of the batch forms
+    the global powers A, A^2, ..., A^(t-1) one at a time and ranks only those
+    rectangles of A^k.
+    """
     mats = np.asarray(mats, dtype=np.int64)
+    o = tuple(int(v) for v in offsets)
+    kmax = len(o) - 2
+    block = np.repeat(np.arange(kmax + 1), np.diff(o))
+    outside = block[:, None] >= block[None, :]
+    rects = [[(pi, slice(o[i - 1], o[j - k]), slice(o[i + k - 1], o[j]))
+              for pi, (i, j) in enumerate(pairs) if j - i >= k]
+             for k in range(1, kmax + 1)]
     nb = mats.shape[0]
-    table = np.full((nb, starts.shape[0], kmax), -1, dtype=np.int64)
+    table = np.full((nb, len(pairs), kmax), -1, dtype=np.int64)
     for first in range(0, nb, _SLICE):
-        chunk = mats[first:first + _SLICE] % p
+        a = mats[first:first + _SLICE] % p
+        if a[:, outside].any():
+            raise ValueError("matrix entry outside the strictly upper block pattern")
         rows = table[first:first + _SLICE]
-        for pi, (lo, hi, span) in enumerate(zip(starts, stops, spans)):
-            w = chunk[:, lo:hi, lo:hi]
-            wk = w
-            for k in range(1, span + 1):
-                rows[:, pi, k - 1] = rank_mod(wk, p)
-                if k < span:
-                    wk = matmul_mod(wk, w, p)
+        ak = a
+        for k, rect in enumerate(rects, start=1):
+            for pi, r, c in rect:
+                rows[:, pi, k - 1] = rank_mod(ak[:, r, c], p)
+            if k < kmax:
+                ak = matmul_mod(ak, a, p)
     return table
 
 

@@ -142,6 +142,8 @@ def _cmd_witness(args) -> int:
     i, j = _parse_pair(args.pair, d)
     if (i, j) not in lambda_pairs(d):
         raise ConfigError(f"pair ({i},{j}) is not in Lambda({d})")
+    if args.budget < 0:
+        raise ConfigError(f"--budget must be >= 0, got {args.budget}")
     if args.verify_matrix:
         with open(args.verify_matrix, encoding="utf-8") as fh:
             a = ExactMatrix.from_json_dict(json.load(fh))

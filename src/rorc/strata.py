@@ -190,6 +190,7 @@ class WindowTables:
 
     d: Composition
     pairs: tuple[tuple[int, int], ...]
+    offsets: np.ndarray             # (t+1,) block boundaries 0 = o_0 < ... < o_t = n
     starts: np.ndarray
     stops: np.ndarray
     spans: np.ndarray
@@ -244,6 +245,7 @@ def _window_tables(d: Composition) -> WindowTables:
     return WindowTables(
         d=d,
         pairs=tuple(pairs),
+        offsets=np.array(o, dtype=np.int64),
         starts=starts,
         stops=stops,
         spans=spans,
@@ -258,11 +260,13 @@ def _window_tables(d: Composition) -> WindowTables:
 
 
 def rank_tables(mats: np.ndarray, tab: WindowTables, p: int) -> np.ndarray:
-    """Batched window rank table R[b, pair, k-1] over F_p; -1 beyond spans."""
+    """Batched window rank table R[b, pair, k-1] over F_p; -1 beyond spans.
+
+    The matrices must lie in the nilradical of ``tab.d``; ValueError otherwise.
+    """
     if mats.ndim == 2:
         mats = mats[None, :, :]
-    return _kernels.window_rank_table(
-        mats, tab.starts, tab.stops, tab.spans, tab.kmax, p)
+    return _kernels.window_rank_table(mats, tab.offsets, tab.pairs, p)
 
 
 def defect_flags(ranks: np.ndarray, tab: WindowTables) -> np.ndarray:

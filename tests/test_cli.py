@@ -174,6 +174,15 @@ def test_witness_pair_outside_lambda(capsys):
     assert "Lambda" in err
 
 
+def test_witness_rejects_negative_budget(capsys):
+    code, out, err = run(capsys, "witness", "-d", "1,1,1,1,1", "--pair", "1,2",
+                         "--budget", "-1")
+    assert code == 2 and "--budget" in err and out == ""
+    code, _, _ = run(capsys, "witness", "-d", "1,1,1,1,1", "--pair", "1,2",
+                     "--budget", "0")
+    assert code == 0  # the deterministic phase alone finds this witness
+
+
 def test_witness_requires_pair(capsys):
     code, _, err = run(capsys, "witness", "-d", "2,1,2")
     assert code == 2

@@ -249,32 +249,48 @@ def test_matmul_mod_matches_integer_products():
                           for j in range(k)] for i in range(n)]
 
 
+def _nilradical_batch(rng, d, tab, count, p):
+    """Random nilradical matrices, every fourth one rank-deficient."""
+    mats = np.zeros((count, d.n, d.n), dtype=np.int64)
+    r, c = tab.positions[:, 0], tab.positions[:, 1]
+    mats[:, r, c] = rng.integers(0, p, size=(count, len(r)))
+    mats[::4] %= 2
+    return mats
+
+
 @pytest.mark.parametrize("nilradical", [True, False])
 def test_window_rank_table_matches_exact_windows(nilradical):
     from rorc.strata import window_tables
 
     rng = np.random.default_rng(83)
     p = 101
-    d = Composition.of(2, 1, 2, 1)
-    tab = window_tables(d)
     count = _kernels._SLICE + 9  # crosses a slice boundary
-    mats = rng.integers(0, p, size=(count, d.n, d.n), dtype=np.int64)
-    if nilradical:
-        mask = np.zeros((d.n, d.n), dtype=bool)
-        mask[tab.positions[:, 0], tab.positions[:, 1]] = True
-        mats = np.where(mask, mats, 0)
-        mats[::4] %= 2  # rank-deficient members
-    table = _kernels.window_rank_table(
-        mats, tab.starts, tab.stops, tab.spans, tab.kmax, p)
-    assert table.shape == (count, len(tab.pairs), tab.kmax)
-    for b in range(count):
-        a = ExactMatrix(mats[b].tolist(), field=f"Fp:{p}")
-        for pi, (i, j) in enumerate(tab.pairs):
-            w = a.window(d, i, j)
-            span = int(tab.spans[pi])
-            assert table[b, pi].tolist() == (
-                [w.power(k).rank() for k in range(1, span + 1)]
-                + [-1] * (tab.kmax - span))
+    if not nilradical:
+        # the kernel ranks rectangles of global powers, which equal the
+        # window powers only in the nilradical: anything else is refused
+        d = Composition.of(2, 1, 2, 1)
+        tab = window_tables(d)
+        full = rng.integers(0, p, size=(count, d.n, d.n), dtype=np.int64)
+        inside = _nilradical_batch(rng, d, tab, count, p)
+        inside[count - 1, 0, 1] = 1  # one entry in a diagonal block, last slice
+        for mats in (full, inside):
+            with pytest.raises(ValueError):
+                _kernels.window_rank_table(mats, tab.offsets, tab.pairs, p)
+        return
+    for parts in [(3,), (4, 1), (1, 4), (2, 1, 2, 1), (1, 2, 1, 1, 2)]:
+        d = Composition.of(*parts)
+        tab = window_tables(d)
+        mats = _nilradical_batch(rng, d, tab, count, p)
+        table = _kernels.window_rank_table(mats, tab.offsets, tab.pairs, p)
+        assert table.shape == (count, len(tab.pairs), tab.kmax)
+        for b in range(count):
+            a = ExactMatrix(mats[b].tolist(), field=f"Fp:{p}")
+            for pi, (i, j) in enumerate(tab.pairs):
+                w = a.window(d, i, j)
+                span = int(tab.spans[pi])
+                assert table[b, pi].tolist() == (
+                    [w.power(k).rank() for k in range(1, span + 1)]
+                    + [-1] * (tab.kmax - span))
 
 
 def test_decode_matrices_spot_check():

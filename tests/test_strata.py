@@ -2,10 +2,15 @@ import os
 import random
 import subprocess
 import sys
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import GF, prevprime
+from sympy.polys.matrices import DomainMatrix
 
 from rorc import (
     Composition,
@@ -24,7 +29,7 @@ from rorc import (
     witness,
 )
 from rorc.diagrams import LineDiagram, complete_diagram
-from rorc.strata import window_tables
+from rorc.strata import rank_tables, window_tables
 
 RUNNING = Composition.of(7, 5, 2, 3, 5, 1, 2, 6, 5)
 
@@ -239,11 +244,86 @@ def test_witness_rejects_non_lambda_pair():
 def test_window_tables_structure():
     tab = window_tables(Composition.of(2, 1, 2))
     assert tab.pairs == ((1, 2), (1, 3), (2, 3))
+    assert tab.offsets.tolist() == [0, 2, 3, 5]
     assert list(tab.kappas) == [1, 1, 1]
     assert tab.thresholds[1, 0] == 3 and tab.thresholds[1, 1] == 1
     assert tab.full_index == 1
     assert list(tab.lam) == [False, True, False]
     assert tab.positions.shape == (8, 2)
+
+
+def _int64_bound_prime(n: int) -> int:
+    """The largest prime p with n*(p-1)^2 < 2^63."""
+    return prevprime(isqrt((2**63 - 1) // n) + 2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(parts=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+       prime=st.sampled_from(["2", "3", "32003", "int64 bound"]),
+       seed=st.integers(0, 2**32 - 1),
+       density=st.sampled_from([1.0, 0.4, 0.1]),
+       count=st.integers(1, 3))
+def test_rank_tables_match_sympy_window_powers(parts, prime, seed, density, count):
+    """Kernel rank tables against sympy's rank over GF(p) of each window
+    power, formed with Python-integer products; sparse draws make part of
+    the batch rank-deficient."""
+    d = Composition.of(*parts)
+    p = _int64_bound_prime(d.n) if prime == "int64 bound" else int(prime)
+    tab = window_tables(d)
+    rng = np.random.default_rng(seed)
+    mats = np.zeros((count, d.n, d.n), dtype=np.int64)
+    r, c = tab.positions[:, 0], tab.positions[:, 1]
+    mats[:, r, c] = (rng.integers(0, p, size=(count, len(r)))
+                     * (rng.random((count, len(r))) < density))
+    table = rank_tables(mats, tab, p)
+    o = d.offsets
+    field = GF(p)
+    for b in range(count):
+        a = mats[b].tolist()
+        for pi, (i, j) in enumerate(tab.pairs):
+            w = [row[o[i - 1]:o[j]] for row in a[o[i - 1]:o[j]]]
+            wk, expected = w, []
+            for _ in range(j - i):
+                expected.append(DomainMatrix(
+                    [[field(v) for v in row] for row in wk], (len(w), len(w)), field).rank())
+                wk = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*w)]
+                      for row in wk]
+            assert table[b, pi, :j - i].tolist() == expected
+
+
+def _random_line_diagram(rng: random.Random, d: Composition) -> LineDiagram:
+    """Edges from a shuffled list of left-to-right vertex pairs, each kept
+    when it keeps the diagram branchless and a coin says so."""
+    column = [i for i in range(1, d.t + 1) for _ in range(d.parts[i - 1])]
+    candidates = [(u, v) for u in range(1, d.n + 1) for v in range(1, d.n + 1)
+                  if column[u - 1] < column[v - 1]]
+    rng.shuffle(candidates)
+    used_right, used_left, edges = set(), set(), []
+    for u, v in candidates:
+        if u not in used_right and v not in used_left and rng.random() < 0.7:
+            used_right.add(u)
+            used_left.add(v)
+            edges.append((u, v))
+    return LineDiagram(d, frozenset(edges))
+
+
+@pytest.mark.parametrize("p", [2, 32003])
+def test_rank_tables_match_bareiss_on_line_diagrams(p):
+    """Line-diagram matrices are partial permutations, so every window
+    power has the same rank over every field: the mod-p tables must equal
+    the Bareiss ranks over Q."""
+    rng = random.Random(97)
+    for _ in range(25):
+        d = Composition.of(*(rng.randint(1, 4) for _ in range(rng.randint(1, 6))))
+        tab = window_tables(d)
+        diagrams = [_random_line_diagram(rng, d) for _ in range(3)]
+        table = rank_tables(np.stack([g.to_matrix().to_numpy() for g in diagrams]), tab, p)
+        for b, g in enumerate(diagrams):
+            a = g.to_matrix()
+            for pi, (i, j) in enumerate(tab.pairs):
+                w = a.window(d, i, j)
+                assert table[b, pi, :j - i].tolist() == [
+                    w.power(k).rank() for k in range(1, j - i + 1)]
 
 
 def test_low_power_defect_does_not_force_threshold_defect():
