@@ -44,6 +44,7 @@ from .strata import (
     in_stratum,
     is_richardson,
     rank_defect,
+    separates,
     witness,
 )
 from .tableaux import (
@@ -64,9 +65,6 @@ from .verify import (
     InfeasibleError,
     VerificationReport,
     check_component_count,
-    check_lemmas,
-    check_theorem_exhaustive,
-    check_theorem_sampled,
     gl5_fixture_suite,
     run_checks,
 )

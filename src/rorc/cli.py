@@ -21,7 +21,7 @@ from .compositions import (
 )
 from .diagrams import chain_lengths, complete_diagram, render_ascii, subdiagram
 from .matrices import ExactMatrix
-from .strata import WitnessSearchError, decompose, defect_profile, in_stratum, witness
+from .strata import WitnessSearchError, decompose, defect_profile, separates, witness
 from .tableaux import minimal_movement, richardson_tableau
 from .verify import ConfigError, ExperimentConfig, run_checks
 
@@ -145,12 +145,12 @@ def _cmd_witness(args) -> int:
     if args.budget < 0:
         raise ConfigError(f"--budget must be >= 0, got {args.budget}")
     if args.verify_matrix:
-        with open(args.verify_matrix, encoding="utf-8") as fh:
-            a = ExactMatrix.from_json_dict(json.load(fh))
-        good = in_stratum(a, d, i, j) and all(
-            not in_stratum(a, d, k, l)
-            for k, l in lambda_pairs(d) if (k, l) != (i, j)
-        )
+        try:
+            with open(args.verify_matrix, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read --verify-matrix: {exc}") from exc
+        good = separates(ExactMatrix.from_json_dict(data), d, (i, j))
         print(f"matrix {'separates' if good else 'does NOT separate'} stratum ({i},{j})")
         return 0 if good else 1
     try:

@@ -14,7 +14,6 @@ preserves rank).  Rank over F_p delegates to the mod-p kernels.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import lcm
 
@@ -260,27 +259,61 @@ class ExactMatrix:
         return out
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "ExactMatrix":
+    def from_json_dict(cls, data) -> "ExactMatrix":
+        """Inverse of to_json_dict; a sparse ``triples`` list of 0-based
+        [row, col, value] may stand in for ``entries``.  Raises ValueError
+        unless ``data`` describes an n x n matrix with a positive integer n."""
+        if not isinstance(data, dict):
+            raise ValueError("matrix JSON must be an object")
+        n = data.get("n")
+        if not (_is_int(n) and n >= 1):
+            raise ValueError(f"matrix JSON needs a positive integer 'n', got {n!r}")
         field = data.get("field", "Q")
-        blocks = Composition(tuple(data["d"])) if data.get("d") else None
-        n = data["n"]
+        if not isinstance(field, str):
+            raise ValueError(f"matrix 'field' must be a string, got {field!r}")
+        d = data.get("d")
+        if d is not None and not isinstance(d, list):
+            raise ValueError(f"matrix 'd' must be a list, got {d!r}")
+        blocks = Composition(tuple(d)) if d else None
 
         def dec(v):
-            return Fraction(v) if isinstance(v, str) else v
+            if _is_int(v):
+                return v
+            if not isinstance(v, str):
+                raise ValueError(f"matrix entry {v!r} is neither an integer nor 'a/b'")
+            try:
+                return Fraction(v)
+            except ZeroDivisionError:
+                raise ValueError(f"matrix entry {v!r} divides by zero") from None
+
+        def index(x) -> bool:
+            return _is_int(x) and 0 <= x < n
 
         if "entries" in data:
-            rows = [[dec(v) for v in row] for row in data["entries"]]
+            entries = data["entries"]
+            if not (isinstance(entries, list) and len(entries) == n
+                    and all(isinstance(row, list) and len(row) == n for row in entries)):
+                raise ValueError(f"matrix 'entries' must be {n} rows of {n} values")
+            rows = [[dec(v) for v in row] for row in entries]
         elif "triples" in data:
+            triples = data["triples"]
+            if not isinstance(triples, list):
+                raise ValueError("matrix 'triples' must be a list")
             rows = [[0] * n for _ in range(n)]
-            for r, c, v in data["triples"]:
+            for triple in triples:
+                if not (isinstance(triple, list) and len(triple) == 3
+                        and index(triple[0]) and index(triple[1])):
+                    raise ValueError(f"matrix triple {triple!r} is not [row, col, value] "
+                                     f"with 0 <= row, col < {n}")
+                r, c, v = triple
                 rows[r][c] = dec(v)
         else:
             raise ValueError("matrix JSON needs 'entries' or 'triples'")
         return cls(rows, field, blocks)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExactMatrix":
-        return cls.from_json_dict(json.loads(text))
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _rank_bareiss(rows: list[list[int]]) -> int:

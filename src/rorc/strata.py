@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -44,6 +45,9 @@ from .tableaux import YoungTableau, minimal_movement
 
 class WitnessSearchError(RuntimeError):
     """Raised when the witness search exhausts its trial budget."""
+
+
+_CHUNK = 64     # witness candidates screened per rank table
 
 
 # ---------------------------------------------------------------------------
@@ -330,65 +334,11 @@ def _diagram_candidates(d: Composition, i: int, j: int):
     yield tableau_diagram(minimal_movement(d, i, j).tableau, d)
 
 
-def _separates(flags_row: np.ndarray, tab: WindowTables, pi_target: int) -> bool:
-    lam_idx = np.nonzero(tab.lam)[0]
-    member = flags_row[lam_idx, tab.kappas[lam_idx] - 1]
-    want = lam_idx == pi_target
-    return bool(np.all(member == want))
-
-
-def witness(d, pair: tuple[int, int], seed: int = 0, budget: int = 100_000,
-            p: int = DEFAULT_PRIME) -> ExactMatrix:
-    """A nilradical matrix lying in the stratum of ``pair`` and in no other
-    component stratum.
-
-    Deterministic candidates first: break one contributing chain edge of the
-    complete diagram with optional reconnections to deeper rows, then the
-    diagram realization of the pair's moved tableau.  The fallback is a
-    seeded randomized walk in diagram space (random break, then random edge
-    removals and reconnections between free chain ends), screened mod p.
-    The result is certified with exact rational predicates.  Raises
-    WitnessSearchError after ``budget`` random trials.
-    """
-    d = as_composition(d)
-    i, j = pair
-    lam = lambda_pairs(d)
-    if (i, j) not in lam:
-        raise ValueError(f"pair ({i},{j}) is not in lambda_pairs({d})")
-    tab = window_tables(d)
-    pi_target = _pair_index(i, j, d.t)
-
-    def certify(a: ExactMatrix) -> ExactMatrix:
-        if not in_stratum(a, d, i, j):
-            raise AssertionError("mod-p screening accepted a matrix outside the target stratum")
-        for k, l in lam:
-            if (k, l) != (i, j) and in_stratum(a, d, k, l):
-                raise AssertionError("mod-p screening accepted a non-separator")
-        return a
-
-    chunk: list[LineDiagram] = []
-
-    def scan(diagrams: list[LineDiagram]) -> ExactMatrix | None:
-        mats = np.stack([diag.to_matrix().to_numpy() for diag in diagrams])
-        flags = defect_flags(rank_tables(mats, tab, p), tab)
-        for b, diag in enumerate(diagrams):
-            if _separates(flags[b], tab, pi_target):
-                return certify(diag.to_matrix())
-        return None
-
-    for cand in _diagram_candidates(d, i, j):
-        chunk.append(cand)
-        if len(chunk) == 64:
-            found = scan(chunk)
-            if found is not None:
-                return found
-            chunk = []
-    if chunk:
-        found = scan(chunk)
-        if found is not None:
-            return found
-
-    # randomized fallback: per-trial streams derived from (seed, trial)
+def _walk_candidates(d: Composition, i: int, j: int, seed: int, budget: int):
+    """Seeded randomized walk in diagram space, ``budget`` trials: a random
+    break or the moved tableau's diagram, then random edge removals and
+    reconnections between free chain ends.  Trial n draws from the stream
+    (seed, n)."""
     breaks = _segment_edges(d, i, j)
     base = complete_diagram(d)
     moved = tableau_diagram(minimal_movement(d, i, j).tableau, d)
@@ -413,12 +363,58 @@ def witness(d, pair: tuple[int, int], seed: int = 0, budget: int = 100_000,
             ]
             if free and rng.integers(2):
                 edges.add(free[int(rng.integers(len(free)))])
-        candidate = LineDiagram(d, frozenset(edges))
-        flags = defect_flags(
-            rank_tables(candidate.to_matrix().to_numpy(), tab, p), tab
-        )
-        if _separates(flags[0], tab, pi_target):
-            return certify(candidate.to_matrix())
+        yield LineDiagram(d, frozenset(edges))
+
+
+def _separates(flags_row: np.ndarray, tab: WindowTables, pi_target: int) -> bool:
+    lam_idx = np.nonzero(tab.lam)[0]
+    member = flags_row[lam_idx, tab.kappas[lam_idx] - 1]
+    want = lam_idx == pi_target
+    return bool(np.all(member == want))
+
+
+def separates(a: ExactMatrix, d, pair: tuple[int, int]) -> bool:
+    """True when A lies in the stratum of ``pair`` and in the stratum of no
+    other pair of lambda_pairs(d), by the exact predicate in_stratum."""
+    d = as_composition(d)
+    i, j = pair
+    lam = lambda_pairs(d)
+    if (i, j) not in lam:
+        raise ValueError(f"pair ({i},{j}) is not in lambda_pairs({d})")
+    return in_stratum(a, d, i, j) and not any(
+        in_stratum(a, d, k, l) for k, l in lam if (k, l) != (i, j)
+    )
+
+
+def witness(d, pair: tuple[int, int], seed: int = 0, budget: int = 100_000,
+            p: int = DEFAULT_PRIME) -> ExactMatrix:
+    """A nilradical matrix lying in the stratum of ``pair`` and in no other
+    component stratum.
+
+    Two candidate phases, the deterministic diagram candidates and then
+    ``budget`` trials of the seeded walk, are screened mod p in chunks of
+    _CHUNK, one rank table per chunk.  The first candidate that separates
+    mod p is certified over the rationals by ``separates``.  Raises
+    WitnessSearchError when both phases are exhausted.
+    """
+    d = as_composition(d)
+    i, j = pair
+    if (i, j) not in lambda_pairs(d):
+        raise ValueError(f"pair ({i},{j}) is not in lambda_pairs({d})")
+    tab = window_tables(d)
+    pi_target = _pair_index(i, j, d.t)
+    for candidates in (_diagram_candidates(d, i, j),
+                       _walk_candidates(d, i, j, seed, budget)):
+        while chunk := list(islice(candidates, _CHUNK)):
+            mats = np.stack([diag.to_matrix().to_numpy() for diag in chunk])
+            flags = defect_flags(rank_tables(mats, tab, p), tab)
+            for row, diag in zip(flags, chunk):
+                if _separates(row, tab, pi_target):
+                    a = diag.to_matrix()
+                    if not separates(a, d, (i, j)):
+                        raise AssertionError(
+                            "mod-p screening accepted a matrix that does not separate")
+                    return a
     raise WitnessSearchError(
         f"no separating witness for {pair} within {budget} trials; "
         "this signals a bug or a degenerate configuration worth inspecting"

@@ -58,28 +58,11 @@ class YoungTableau:
         """Multiplicity of each entry."""
         return Counter(v for r in self.rows for v in r)
 
-    def row_reading(self) -> tuple[int, ...]:
-        return tuple(v for r in self.rows for v in r)
-
     def to_json_dict(self) -> dict:
         return {"shape": list(self.shape), "rows": [list(r) for r in self.rows]}
 
     def render_ascii(self) -> str:
         return "\n".join(" ".join(str(v) for v in r) for r in self.rows)
-
-
-def _is_valid_filling(rows: list[list[int]]) -> bool:
-    lengths = [len(r) for r in rows if r]
-    if len(lengths) != len(rows) or not is_partition(tuple(lengths)):
-        return False
-    for r in rows:
-        if any(r[k] >= r[k + 1] for k in range(len(r) - 1)):
-            return False
-    for idx in range(len(rows) - 1):
-        upper, lower = rows[idx], rows[idx + 1]
-        if any(lower[c] < upper[c] for c in range(len(lower))):
-            return False
-    return True
 
 
 def richardson_tableau(d) -> YoungTableau:
@@ -257,9 +240,11 @@ def minimal_movement(d, i: int, j: int) -> Movement:
                 continue
             pos = sum(1 for v in target if v < j)
             target.insert(pos, j)
-        if _is_valid_filling(candidate):
+        try:
             tab = YoungTableau(tuple(tuple(row) for row in candidate))
-            return Movement(tab, tab.shape, r - s)
+        except ValueError:
+            continue
+        return Movement(tab, tab.shape, r - s)
     raise AssertionError("a new bottom row is always a valid insertion")
 
 

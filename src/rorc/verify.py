@@ -30,7 +30,7 @@ from .compositions import (
     low_intermediates,
 )
 from .diagrams import max_window_rank
-from .matrices import DEFAULT_PRIME, _is_prime
+from .matrices import DEFAULT_PRIME, ExactMatrix, _is_prime
 from .strata import WindowTables, defect_flags, rank_tables, window_tables
 from .tableaux import richardson_tableau, shared_row
 
@@ -127,14 +127,6 @@ class VerificationReport:
         if include_timing and self.timing_s is not None:
             out["timing_s"] = self.timing_s
         return out
-
-
-def _matrix_json(mat: np.ndarray, q: int) -> dict:
-    return {
-        "n": int(mat.shape[0]),
-        "field": f"Fp:{q}",
-        "entries": [[int(v) for v in row] for row in mat],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +270,8 @@ def _batches(cfg: ExperimentConfig, tab: WindowTables):
 
 def _record(violations: list, tag: str, mat: np.ndarray, q: int, **extra) -> None:
     if len(violations) < _VIOLATION_CAP:
-        violations.append({"kind": tag, "matrix": _matrix_json(mat, q), **extra})
+        matrix = ExactMatrix(mat, f"Fp:{q}").to_json_dict()
+        violations.append({"kind": tag, "matrix": matrix, **extra})
 
 
 class _ExhaustiveTheorem:
@@ -507,28 +500,6 @@ def run_checks(cfg: ExperimentConfig, checks=("theorem", "lemmas")) -> Verificat
     return report
 
 
-def check_theorem_exhaustive(cfg: ExperimentConfig) -> VerificationReport:
-    """Enumerate the whole nilradical over F_q: the defective matrices must be
-    exactly the union of the component strata, and the rest of generic type."""
-    if cfg.mode != "exhaustive":
-        raise ConfigError("check_theorem_exhaustive needs mode='exhaustive'")
-    return run_checks(cfg, ("theorem",))
-
-
-def check_theorem_sampled(cfg: ExperimentConfig) -> VerificationReport:
-    """Sampled theorem check over F_p: generic-type frequency of uniform
-    matrices, and coverage of every forced-defect matrix by a component."""
-    if cfg.mode != "sample":
-        raise ConfigError("check_theorem_sampled needs mode='sample'")
-    return run_checks(cfg, ("theorem",))
-
-
-def check_lemmas(cfg: ExperimentConfig) -> VerificationReport:
-    """Pointwise lemma containments on the configured population, plus the
-    symbolic checks that need no matrices."""
-    return run_checks(cfg, ("lemmas",))
-
-
 def random_composition(rng: np.random.Generator, max_t: int = 6,
                        max_part: int = 4, min_t: int = 2) -> Composition:
     t = int(rng.integers(min_t, max_t + 1))
@@ -640,7 +611,7 @@ def gl5_fixture_suite(seed: int = 0, generic_trials: int = 1000) -> Verification
             continue
         d = Composition(parts)
         cfg = ExperimentConfig(d=d, mode="exhaustive", fieldsize=2, seed=seed)
-        rep = check_theorem_exhaustive(cfg)
+        rep = run_checks(cfg, ("theorem",))
         result = rep.checks[0]
         n_components = len(lambda_pairs(d))
         counts = dict(result.counts)
@@ -652,7 +623,7 @@ def gl5_fixture_suite(seed: int = 0, generic_trials: int = 1000) -> Verification
             passed = passed and counts["defective"] == 1  # only the zero matrix
         scfg = ExperimentConfig(d=d, mode="sample", fieldsize=DEFAULT_PRIME,
                                 trials=generic_trials, seed=seed)
-        srep = check_theorem_sampled(scfg)
+        srep = run_checks(scfg, ("theorem",))
         freq = srep.checks[0].counts["richardson_frequency"]
         counts["richardson_frequency"] = freq
         passed = passed and srep.passed and freq >= 0.99

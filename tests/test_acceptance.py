@@ -22,7 +22,6 @@ from rorc import (
     ExactMatrix,
     ExperimentConfig,
     check_component_count,
-    check_theorem_exhaustive,
     decompose,
     dominance_leq,
     gamma_pairs,
@@ -289,7 +288,7 @@ def test_criterion_9_codimension_spot_checks():
     dec = decompose(d)
     assert [s.codim for s in dec.strata] == [1, 1, 1, 1]
     cfg = ExperimentConfig(d=d, mode="exhaustive", fieldsize=2)
-    counts = check_theorem_exhaustive(cfg).checks[0].counts
+    counts = run_checks(cfg, ("theorem",)).checks[0].counts
     free_dim = ExperimentConfig(d=d).free_dim
     for pair_key, size in counts["per_stratum"].items():
         assert size == 2 ** (free_dim - 1)  # coordinate hyperplanes over F_2
@@ -298,8 +297,9 @@ def test_criterion_9_codimension_spot_checks():
     dec41 = decompose(d41)
     assert len(dec41.strata) == 1
     assert dec41.strata[0].codim == 4
-    counts41 = check_theorem_exhaustive(
-        ExperimentConfig(d=d41, mode="exhaustive", fieldsize=2)).checks[0].counts
+    counts41 = run_checks(
+        ExperimentConfig(d=d41, mode="exhaustive", fieldsize=2),
+        ("theorem",)).checks[0].counts
     assert counts41["defective"] == 1  # the complement is the zero matrix
     assert counts41["per_stratum"]["1,2"] == 1
     print("\ncriterion 9: PASS - hyperplane counts |Z(F2)| = 2^(dim-1) and "

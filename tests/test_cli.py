@@ -168,6 +168,25 @@ def test_witness_command(capsys, tmp_path):
     assert "does NOT separate" in out
 
 
+def test_witness_verify_matrix_rejects_malformed_input(capsys, tmp_path):
+    cases = {
+        "missing_file": None,
+        "no_n": {"field": "Q", "entries": [[0]]},
+        "not_an_object": [[0, 1], [0, 0]],
+        "triple_out_of_range": {"n": 5, "triples": [[5, 4, 1]]},
+        "negative_triple_index": {"n": 5, "triples": [[-5, 4, 1]]},
+        "n_disagrees_with_entries": {"n": 6, "entries": [[0] * 5 for _ in range(5)]},
+    }
+    for name, data in cases.items():
+        path = tmp_path / f"{name}.json"
+        if data is not None:
+            path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "witness", "-d", "1,1,1,1,1", "--pair", "1,2",
+                             "--verify-matrix", str(path))
+        assert (code, out) == (2, ""), name
+        assert err.startswith("error: ") and "Traceback" not in err, name
+
+
 def test_witness_pair_outside_lambda(capsys):
     code, _, err = run(capsys, "witness", "-d", "2,1,2", "--pair", "1,2")
     assert code == 2

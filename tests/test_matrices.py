@@ -154,6 +154,23 @@ def test_json_round_trip():
     assert sparse.entry(1, 2) == 3
 
 
+@pytest.mark.parametrize("data", [
+    {"n": 0, "entries": []},
+    {"n": True, "entries": [[0]]},
+    {"n": 1, "field": 7, "entries": [[0]]},
+    {"n": 1, "d": 1, "entries": [[0]]},
+    {"n": 2, "entries": [[0, 0], [0]]},
+    {"n": 1, "entries": [[None]]},
+    {"n": 1, "entries": [["1/0"]]},
+    {"n": 2, "triples": {"0": [1, 1]}},
+    {"n": 2, "triples": [[0, 1]]},
+    {"n": 2},
+])
+def test_json_rejects_malformed_matrix(data):
+    with pytest.raises(ValueError):
+        ExactMatrix.from_json_dict(data)
+
+
 def test_field_validation():
     with pytest.raises(ValueError):
         ExactMatrix([[1]], field="Fp:6")

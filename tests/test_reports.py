@@ -1,9 +1,11 @@
-"""Golden `rorc verify --json` reports, compared byte for byte.
+"""Golden `rorc verify --json` reports and `rorc witness --json` payloads,
+compared byte for byte.
 
 Each case runs the CLI with ``--json --out`` and compares the written file
-and the exit code with the golden under tests/data/reports/.  Reports are
-deterministic functions of the configuration, so any change in a count, a
-recorded violation, a key or the key order shows up here.
+and the exit code with the golden under tests/data/reports/.  Reports and
+witnesses are deterministic functions of the arguments, so any change in a
+count, a recorded violation, a witness matrix, a key or the key order shows
+up here.
 
 Regenerate the goldens (only when a report is meant to change) with
 ``PYTHONPATH=src python tests/test_reports.py``.
@@ -18,29 +20,37 @@ from rorc.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "reports"
 
-# name -> (verify arguments, exit code)
+# name -> (CLI arguments, exit code)
 CASES = {
     "running_sample": (
-        ["-d", "7,5,2,3,5,1,2,6,5", "--mode", "sample", "--field", "32003",
+        ["verify", "-d", "7,5,2,3,5,1,2,6,5", "--mode", "sample", "--field", "32003",
          "--trials", "20", "--seed", "1"], 1),
     "d132_exhaustive": (
-        ["-d", "1,3,2", "--mode", "exhaustive", "--field", "2"], 1),
+        ["verify", "-d", "1,3,2", "--mode", "exhaustive", "--field", "2"], 1),
     "d333_sample": (
-        ["-d", "3,3,3", "--mode", "sample", "--trials", "200", "--seed", "7"], 0),
+        ["verify", "-d", "3,3,3", "--mode", "sample", "--trials", "200", "--seed", "7"], 0),
     "d212_exhaustive_all": (
-        ["-d", "2,1,2", "--mode", "exhaustive", "--field", "2",
+        ["verify", "-d", "2,1,2", "--mode", "exhaustive", "--field", "2",
          "--checks", "counts,theorem,lemmas"], 0),
     "d221_sample_lemmas": (
-        ["-d", "2,2,1", "--mode", "sample", "--field", "32003", "--trials", "50",
+        ["verify", "-d", "2,2,1", "--mode", "sample", "--field", "32003", "--trials", "50",
          "--seed", "3", "--checks", "lemmas"], 1),
-    "d5_exhaustive": (["-d", "5", "--mode", "exhaustive"], 0),
-    "d5_sample": (["-d", "5", "--mode", "sample"], 0),
+    "d5_exhaustive": (["verify", "-d", "5", "--mode", "exhaustive"], 0),
+    "d5_sample": (["verify", "-d", "5", "--mode", "sample"], 0),
+    # the running example's four components, found by the diagram candidates
+    "witness_running_1_8": (["witness", "-d", "7,5,2,3,5,1,2,6,5", "--pair", "1,8"], 0),
+    "witness_running_2_5": (["witness", "-d", "7,5,2,3,5,1,2,6,5", "--pair", "2,5"], 0),
+    "witness_running_3_7": (["witness", "-d", "7,5,2,3,5,1,2,6,5", "--pair", "3,7"], 0),
+    "witness_running_5_9": (["witness", "-d", "7,5,2,3,5,1,2,6,5", "--pair", "5,9"], 0),
+    # found by the seeded random walk
+    "witness_walk_311131": (
+        ["witness", "-d", "3,1,1,1,3,1", "--pair", "2,3", "--seed", "2"], 0),
 }
 
 
 def _run(name: str, path: Path) -> int:
     argv, _ = CASES[name]
-    return main(["verify", *argv, "--json", "--out", str(path)])
+    return main([*argv, "--json", "--out", str(path)])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

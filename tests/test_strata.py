@@ -15,6 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 from rorc import (
     Composition,
     ExactMatrix,
+    WitnessSearchError,
     decompose,
     defect_profile,
     in_nilradical,
@@ -26,6 +27,7 @@ from rorc import (
     minimal_movement,
     rank_defect,
     richardson_element,
+    separates,
     witness,
 )
 from rorc.diagrams import LineDiagram, complete_diagram
@@ -234,6 +236,28 @@ def test_witness_running_example_separates():
         assert in_nilradical(w, RUNNING)
         hits = [pq for pq in lam if in_stratum(w, RUNNING, *pq)]
         assert hits == [pair]
+
+
+def test_separates():
+    d = Composition.of(1, 1, 1, 1, 1)
+    w = witness(d, (1, 2))
+    assert separates(w, d, (1, 2))
+    assert not separates(w, d, (2, 3))
+    assert not separates(ExactMatrix.zeros(5), d, (1, 2))   # in every stratum
+    with pytest.raises(ValueError):
+        separates(w, Composition.of(2, 1, 2), (1, 2))
+
+
+@pytest.mark.parametrize("parts, pair, seed, budget", [
+    ((3, 1, 1, 1, 3, 1), (2, 3), 2, 151),
+    ((3, 1, 2, 3, 2), (2, 3), 0, 68),
+])
+def test_witness_budget_counts_walk_trials(parts, pair, seed, budget):
+    # only walk trial budget - 1 separates among the first budget trials, so
+    # one trial less exhausts the search; both trials lie past the first chunk
+    with pytest.raises(WitnessSearchError):
+        witness(parts, pair, seed=seed, budget=budget - 1)
+    assert separates(witness(parts, pair, seed=seed, budget=budget), parts, pair)
 
 
 def test_witness_rejects_non_lambda_pair():

@@ -10,9 +10,6 @@ from rorc import (
     ExperimentConfig,
     InfeasibleError,
     check_component_count,
-    check_lemmas,
-    check_theorem_exhaustive,
-    check_theorem_sampled,
     gamma_pairs,
     gl5_fixture_suite,
     in_stratum,
@@ -20,6 +17,7 @@ from rorc import (
     lambda_pairs,
     low_intermediates,
     rank_defect,
+    run_checks,
 )
 from rorc.strata import window_tables
 from rorc.verify import (
@@ -57,23 +55,25 @@ def test_config_bounds_field_by_int64_products():
 
 
 def test_exhaustive_trivial_cases():
-    rep = check_theorem_exhaustive(
-        ExperimentConfig(d=Composition.of(1, 1), mode="exhaustive", fieldsize=2))
+    rep = run_checks(
+        ExperimentConfig(d=Composition.of(1, 1), mode="exhaustive", fieldsize=2),
+        ("theorem",))
     c = rep.checks[0]
     assert c.passed
     assert c.counts["total"] == 2
     assert c.counts["defective"] == 1          # the zero matrix
     assert c.counts["per_stratum"] == {"1,2": 1}
 
-    rep = check_theorem_exhaustive(
-        ExperimentConfig(d=Composition.of(5), mode="exhaustive", fieldsize=2))
+    rep = run_checks(
+        ExperimentConfig(d=Composition.of(5), mode="exhaustive", fieldsize=2),
+        ("theorem",))
     assert rep.checks[0].counts["total"] == 1
 
 
 def test_exhaustive_borel_f2():
     cfg = ExperimentConfig(d=Composition.of(1, 1, 1, 1, 1), mode="exhaustive",
                            fieldsize=2)
-    c = check_theorem_exhaustive(cfg).checks[0]
+    c = run_checks(cfg, ("theorem",)).checks[0]
     assert c.passed
     assert c.counts["total"] == 1024
     assert c.counts["uncovered"] == 0
@@ -84,7 +84,7 @@ def test_exhaustive_borel_f2():
 
 def test_exhaustive_f3():
     cfg = ExperimentConfig(d=Composition.of(1, 1, 1), mode="exhaustive", fieldsize=3)
-    c = check_theorem_exhaustive(cfg).checks[0]
+    c = run_checks(cfg, ("theorem",)).checks[0]
     assert c.passed
     assert c.counts["total"] == 27
     assert c.counts["per_stratum"] == {"1,2": 9, "2,3": 9}
@@ -94,20 +94,15 @@ def test_exhaustive_infeasible():
     cfg = ExperimentConfig(d=Composition.of(3, 3, 3), mode="exhaustive",
                            fieldsize=2, dim_cap=20)
     with pytest.raises(InfeasibleError) as err:
-        check_theorem_exhaustive(cfg)
+        run_checks(cfg, ("theorem",))
     assert "2^27" in str(err.value) or "134217728" in str(err.value)
-
-
-def test_exhaustive_wrong_mode():
-    with pytest.raises(ConfigError):
-        check_theorem_exhaustive(ExperimentConfig(d=Composition.of(1, 1)))
 
 
 def test_sampled_check_passes_and_is_deterministic():
     cfg = ExperimentConfig(d=Composition.of(2, 1, 2), mode="sample",
                            fieldsize=32003, trials=300, seed=7)
-    rep1 = check_theorem_sampled(cfg)
-    rep2 = check_theorem_sampled(cfg)
+    rep1 = run_checks(cfg, ("theorem",))
+    rep2 = run_checks(cfg, ("theorem",))
     assert rep1.passed
     assert rep1.to_json_dict() == rep2.to_json_dict()
     payload1 = json.dumps(rep1.to_json_dict(), sort_keys=True)
@@ -123,15 +118,15 @@ def test_sampled_check_passes_and_is_deterministic():
 
 def test_sampled_different_seeds_differ():
     base = dict(d=Composition.of(2, 2, 1), mode="sample", fieldsize=32003, trials=50)
-    rep1 = check_theorem_sampled(ExperimentConfig(seed=1, **base))
-    rep2 = check_theorem_sampled(ExperimentConfig(seed=2, **base))
+    rep1 = run_checks(ExperimentConfig(seed=1, **base), ("theorem",))
+    rep2 = run_checks(ExperimentConfig(seed=2, **base), ("theorem",))
     assert rep1.config != rep2.config
 
 
 def test_lemma_checks_symbolic_parts():
     cfg = ExperimentConfig(d=Composition.of(7, 5, 2, 3, 5, 1, 2, 6, 5),
                            mode="sample", trials=1, fieldsize=2, seed=0)
-    rep = check_lemmas(cfg)
+    rep = run_checks(cfg, ("lemmas",))
     assert _check(rep, "empty_stratum_symbolic").passed
     assert _check(rep, "kappa_tableau_identity").passed
 
@@ -139,7 +134,7 @@ def test_lemma_checks_symbolic_parts():
 def test_lemma_checks_small_exhaustive():
     cfg = ExperimentConfig(d=Composition.of(1, 1, 2), mode="exhaustive",
                            fieldsize=2, seed=0)
-    rep = check_lemmas(cfg)
+    rep = run_checks(cfg, ("lemmas",))
     for name in ("lemma_above_threshold", "lemma_outside_gamma", "lemma_absorbed"):
         assert _check(rep, name).passed, name
 
@@ -149,7 +144,7 @@ def test_lemma_below_threshold_reports_known_counterexamples():
     # surface the violations rather than pass silently
     cfg = ExperimentConfig(d=Composition.of(1, 3, 2), mode="exhaustive",
                            fieldsize=2, seed=0)
-    rep = check_lemmas(cfg)
+    rep = run_checks(cfg, ("lemmas",))
     low = _check(rep, "lemma_below_threshold")
     assert not low.passed
     assert low.counts["violations"] > 0
@@ -189,7 +184,7 @@ def test_gl5_fixture_suite():
 
 def test_report_json_shape():
     cfg = ExperimentConfig(d=Composition.of(1, 1, 1), mode="exhaustive", fieldsize=2)
-    rep = check_theorem_exhaustive(cfg)
+    rep = run_checks(cfg, ("theorem",))
     data = rep.to_json_dict()
     assert data["schema"] == "rorc.report/1"
     assert data["config"]["d"] == [1, 1, 1]
@@ -214,7 +209,7 @@ def test_compositions_of():
 def test_config_coerces_plain_tuples():
     cfg = ExperimentConfig(d=(2, 1, 2), mode="exhaustive", fieldsize=2)
     assert cfg.d == Composition.of(2, 1, 2)
-    assert check_theorem_exhaustive(cfg).passed
+    assert run_checks(cfg, ("theorem",)).passed
 
 
 def _pointwise_lemmas(a: ExactMatrix, d: Composition) -> dict[str, bool]:
