@@ -1,10 +1,17 @@
-"""Mod-p matrix kernels: batched elimination rank, products, window rank
-tables and the exhaustive enumeration decode.
+"""Mod-p matrix kernels: batched elimination, products, window rank tables
+and the exhaustive enumeration decode.
 
 All kernels take int64 arrays with entries reduced mod a prime p.  Elimination
 uses cross-multiplied rows (r <- pivot*r - f*pivot_row), which never needs
 modular inverses, and products reduce once per product; every intermediate is
 bounded by n*(p-1)^2, which the callers keep below 2^63.
+
+The elimination takes columns in order, pivots on the topmost free row with a
+nonzero entry and only ever adds a row to rows below it.  So it keeps the
+rank of every leading submatrix, and that rank is the number of pivots inside
+it (the rank profile matrix; Dumas-Pernet-Sultan, J. Symbolic Comput. 2017).
+``window_rank_table`` uses this to rank every window of one power of A with a
+single elimination.
 """
 
 from __future__ import annotations
@@ -16,30 +23,26 @@ import numpy as np
 _SLICE = 256
 
 
-def rank_mod(mats, p: int):
-    """Ranks over F_p of a batch ``(B, r, c)``, or the rank of one ``(r, c)``.
+def _eliminate(m: np.ndarray, p: int) -> np.ndarray:
+    """Pivot rows of a batch ``(B, r, c)`` reduced mod p, eliminated in place.
 
-    Elimination runs over the shorter side (rank is transpose-invariant) for
-    the whole batch at once: a free-row mask replaces row swaps, and each
-    step updates the live columns in place.  A member without a pivot in the
-    current column is left unchanged.
+    Returns ``(B, c)`` with the pivot row of each column, or r where the
+    column has none.  A free-row mask replaces row swaps, and each step
+    updates the live columns in place; a member without a pivot in the
+    current column is left unchanged.  Free rows above the pivot are zero in
+    its column, so only rows below it change by more than a nonzero scale.
     """
-    m = np.asarray(mats, dtype=np.int64) % p
-    single = m.ndim == 2
-    if single:
-        m = m[None]
-    if m.shape[1] < m.shape[2]:
-        m = m.transpose(0, 2, 1).copy()
     nb, nr, nc = m.shape
     members = np.arange(nb)
     free = np.ones((nb, nr), dtype=bool)
-    rank = np.zeros(nb, dtype=np.int64)
+    pivots = np.full((nb, nc), nr, dtype=np.int64)
     for col in range(nc):
         cand = free & (m[:, :, col] != 0)
         has = cand.any(1)
         if not has.any():
             continue
         piv = cand.argmax(1)
+        pivots[:, col] = np.where(has, piv, nr)
         pivot_row = m[members, piv, col + 1:]
         pv = np.where(has, m[members, piv, col], 1)
         free[members, piv] &= ~has
@@ -48,7 +51,22 @@ def rank_mod(mats, p: int):
         live *= pv[:, None, None]
         live -= f[:, :, None] * pivot_row[:, None, :]
         live %= p
-        rank += has
+    return pivots
+
+
+def rank_mod(mats, p: int):
+    """Ranks over F_p of a batch ``(B, r, c)``, or the rank of one ``(r, c)``.
+
+    The pivot count of ``_eliminate``, run over the shorter side (rank is
+    transpose-invariant) for the whole batch at once.
+    """
+    m = np.asarray(mats, dtype=np.int64) % p
+    single = m.ndim == 2
+    if single:
+        m = m[None]
+    if m.shape[1] < m.shape[2]:
+        m = m.transpose(0, 2, 1).copy()
+    rank = (_eliminate(m, p) < m.shape[1]).sum(1)
     return int(rank[0]) if single else rank
 
 
@@ -57,26 +75,59 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a @ b) % p
 
 
+def _leading_ranks(m: np.ndarray, nrows: np.ndarray, ncols: np.ndarray, p: int) -> np.ndarray:
+    """Ranks ``(B, q)`` of the leading ``nrows[q] x ncols[q]`` submatrices of
+    a batch ``m``, all from one elimination (over the transpose when wide):
+    each is the number of pivots inside it, read off a 2-D cumsum of the
+    pivot indicator.  ``m`` is left unchanged."""
+    if m.shape[1] < m.shape[2]:
+        m, nrows, ncols = m.transpose(0, 2, 1), ncols, nrows
+    m = m.copy()
+    nb, nr, nc = m.shape
+    pivots = _eliminate(m, p)
+    # row nr of the indicator takes the columns without a pivot
+    indicator = np.zeros((nb, nr + 1, nc), dtype=np.int64)
+    indicator[np.arange(nb)[:, None], pivots, np.arange(nc)] = 1
+    inside = indicator[:, :nr].cumsum(1).cumsum(2)
+    return inside[:, nrows - 1, ncols - 1]
+
+
 def window_rank_table(mats, offsets, pairs, p):
     """Rank table R[b, pi, k-1] = rank((A_b window pi)^k) mod p, -1 padded.
 
     ``offsets`` are the block boundaries 0 = o_0 < ... < o_t = n and
     ``pairs`` the windows (i, j), blocks 1-based and inclusive.  Each A_b must
     lie in the nilradical (nonzero mod p only in blocks strictly above the
-    diagonal blocks); anything else raises ValueError.  There the window of
-    A^k is the k-th power of the window of A, and it is zero outside row
-    blocks i..j-k and column blocks i+k..j.  So each slice of the batch forms
-    the global powers A, A^2, ..., A^(t-1) one at a time and ranks only those
-    rectangles of A^k.
+    diagonal blocks); anything else raises ValueError.
+
+    There A^k is zero outside the blocks (r, c) with c >= r + k, so the window
+    [i, j] of A^k is the k-th power of the window of A, and its rank is that
+    of the bottom-left submatrix A^k[o_(i-1):, :o_j].  Flipping the rows makes
+    every such submatrix a leading one, so one elimination of A^k ranks all
+    windows at power k (see ``_leading_ranks``).  Only the nonzero corner
+    C_k = A^k[:o_(t-k), o_k:] is eliminated, and each corner is formed from
+    the last one:
+
+        C_(k+1) = A^k[:o_(t-k-1), o_k:o_(t-1)] @ A[o_k:o_(t-1), o_(k+1):].
+
+    Slices of _SLICE matrices hold one corner at a time.
     """
     mats = np.asarray(mats, dtype=np.int64)
     o = tuple(int(v) for v in offsets)
-    kmax = len(o) - 2
-    block = np.repeat(np.arange(kmax + 1), np.diff(o))
+    t = len(o) - 1
+    kmax = t - 1
+    block = np.repeat(np.arange(t), np.diff(o))
     outside = block[:, None] >= block[None, :]
-    rects = [[(pi, slice(o[i - 1], o[j - k]), slice(o[i + k - 1], o[j]))
-              for pi, (i, j) in enumerate(pairs) if j - i >= k]
-             for k in range(1, kmax + 1)]
+    # per power k: the pairs it ranks, and their leading submatrices in the
+    # row-flipped corner C_k[::-1], which has o_(t-k) rows
+    queries = []
+    for k in range(1, kmax + 1):
+        ranked = [(pi, i, j) for pi, (i, j) in enumerate(pairs) if j - i >= k]
+        if not ranked:
+            break
+        queries.append((k, [pi for pi, _, _ in ranked],
+                        np.array([o[t - k] - o[i - 1] for _, i, _ in ranked]),
+                        np.array([o[j] - o[k] for _, _, j in ranked])))
     nb = mats.shape[0]
     table = np.full((nb, len(pairs), kmax), -1, dtype=np.int64)
     for first in range(0, nb, _SLICE):
@@ -84,12 +135,12 @@ def window_rank_table(mats, offsets, pairs, p):
         if a[:, outside].any():
             raise ValueError("matrix entry outside the strictly upper block pattern")
         rows = table[first:first + _SLICE]
-        ak = a
-        for k, rect in enumerate(rects, start=1):
-            for pi, r, c in rect:
-                rows[:, pi, k - 1] = rank_mod(ak[:, r, c], p)
-            if k < kmax:
-                ak = matmul_mod(ak, a, p)
+        corner = a[:, :o[t - 1], o[1]:]
+        for k, pis, nrows, ncols in queries:
+            if k > 1:
+                corner = matmul_mod(corner[:, :o[t - k], :o[t - 1] - o[k - 1]],
+                                    a[:, o[k - 1]:o[t - 1], o[k]:], p)
+            rows[:, pis, k - 1] = _leading_ranks(corner[:, ::-1], nrows, ncols, p)
     return table
 
 

@@ -150,6 +150,10 @@ def _cmd_witness(args) -> int:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read --verify-matrix: {exc}") from exc
+        # refuse a size mismatch before from_json_dict builds n x n rows
+        n = data.get("n") if isinstance(data, dict) else None
+        if isinstance(n, int) and n != d.n:
+            raise ConfigError(f"--verify-matrix has n = {n}, but d = {d} has n = {d.n}")
         good = separates(ExactMatrix.from_json_dict(data), d, (i, j))
         print(f"matrix {'separates' if good else 'does NOT separate'} stratum ({i},{j})")
         return 0 if good else 1

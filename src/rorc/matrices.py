@@ -40,6 +40,15 @@ def _normalize_field(field: str) -> tuple[str, int | None]:
     raise ValueError(f"unknown field {field!r}; expected 'Q' or 'Fp:<p>'")
 
 
+def _rational_mod_p(v, p: int) -> int:
+    """The residue of the rational v = a/b in [0, p), a * b^-1; a denominator
+    divisible by p raises ValueError."""
+    v = Fraction(v)
+    if v.denominator % p == 0:
+        raise ValueError(f"entry {v} has no value mod {p}: {p} divides its denominator")
+    return v.numerator * pow(v.denominator, -1, p) % p
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -68,7 +77,8 @@ class ExactMatrix:
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("rows must be non-empty and of equal length")
         if p is not None:
-            rows = tuple(tuple(int(v) % p for v in r) for r in rows)
+            rows = tuple(tuple(int(v) % p if isinstance(v, (int, np.integer))
+                               else _rational_mod_p(v, p) for v in r) for r in rows)
         else:
             rows = tuple(
                 tuple(v if isinstance(v, (int, Fraction)) else Fraction(v) for v in r)

@@ -187,6 +187,23 @@ def test_witness_verify_matrix_rejects_malformed_input(capsys, tmp_path):
         assert err.startswith("error: ") and "Traceback" not in err, name
 
 
+def test_witness_verify_matrix_refuses_wrong_size_before_building_it(capsys, tmp_path):
+    import tracemalloc
+
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 2000, "triples": []}))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "witness", "-d", "1,1,1,1,1", "--pair", "1,2",
+                             "--verify-matrix", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert "n = 2000" in err
+    assert peak < 5 * 2**20
+
+
 def test_witness_pair_outside_lambda(capsys):
     code, _, err = run(capsys, "witness", "-d", "2,1,2", "--pair", "1,2")
     assert code == 2

@@ -171,6 +171,15 @@ def test_json_rejects_malformed_matrix(data):
         ExactMatrix.from_json_dict(data)
 
 
+def test_fp_entries_reduce_fractions_by_inverse():
+    a = ExactMatrix.from_json_dict({"n": 1, "field": "Fp:5", "entries": [["1/2"]]})
+    assert a.entry(0, 0) == 3 and a.rank() == 1  # 2 * 3 = 1 mod 5
+    assert ExactMatrix([[Fraction(-2, 3)]], field="Fp:7").entry(0, 0) == 4  # 3 * 4 = -2
+    assert ExactMatrix([[2.5, np.int64(7)]], field="Fp:5").rows == ((0, 2),)  # 5/2, 7
+    with pytest.raises(ValueError, match="denominator"):
+        ExactMatrix.from_json_dict({"n": 1, "field": "Fp:5", "entries": [["1/5"]]})
+
+
 def test_field_validation():
     with pytest.raises(ValueError):
         ExactMatrix([[1]], field="Fp:6")
@@ -329,3 +338,97 @@ def test_rank_mod_matches_sympy_over_gf_p(data, p, count, r, c):
     expected = [DomainMatrix([[field(v) for v in row] for row in m], (r, c), field).rank()
                 for m in mats]
     assert _kernels.rank_mod(np.array(mats, dtype=np.int64), p).tolist() == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 32003]),
+       count=st.integers(1, 4), r=st.integers(1, 7), c=st.integers(1, 7))
+def test_pivots_count_the_rank_of_every_leading_submatrix(data, p, count, r, c):
+    # the invariant window_rank_table reads its ranks from
+    k = data.draw(st.integers(0, min(r, c)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    mats = (rng.integers(0, p, size=(count, r, k), dtype=np.int64)
+            @ rng.integers(0, p, size=(count, k, c), dtype=np.int64)) % p
+    pivots = _kernels._eliminate(mats.copy(), p)
+    for rows in range(1, r + 1):
+        for cols in range(1, c + 1):
+            inside = (pivots[:, :cols] < rows).sum(1)
+            assert inside.tolist() == _kernels.rank_mod(mats[:, :rows, :cols], p).tolist()
+
+
+def _exact_window_table(mats, d, pairs, kmax, p):
+    out = np.full((len(mats), len(pairs), kmax), -1, dtype=np.int64)
+    for b, m in enumerate(mats):
+        a = ExactMatrix(m.tolist(), field=f"Fp:{p}")
+        for pi, (i, j) in enumerate(pairs):
+            w = a.window(d, i, j)
+            out[b, pi, :j - i] = [w.power(k).rank() for k in range(1, j - i + 1)]
+    return out
+
+
+def test_window_rank_table_edge_cases():
+    from rorc.strata import window_tables
+
+    rng = np.random.default_rng(89)
+    p = 3
+    # t = 2: one window, one power
+    d = Composition.of(3, 2)
+    tab = window_tables(d)
+    assert tab.pairs == ((1, 2),) and tab.kmax == 1
+    mats = _nilradical_batch(rng, d, tab, 12, p)
+    table = _kernels.window_rank_table(mats, tab.offsets, tab.pairs, p)
+    assert np.array_equal(table, _exact_window_table(mats, d, tab.pairs, 1, p))
+    # windows of span 1 only: no power beyond the first is formed or ranked
+    d = Composition.of(2, 1, 3, 1)
+    tab = window_tables(d)
+    short = [(1, 2), (2, 3), (3, 4)]
+    mats = _nilradical_batch(rng, d, tab, 12, p)
+    table = _kernels.window_rank_table(mats, tab.offsets, short, p)
+    assert np.array_equal(table, _exact_window_table(mats, d, short, tab.kmax, p))
+    assert (table[:, :, 1:] == -1).all()
+    # an all-zero slice ranks 0 up to each span, -1 beyond
+    zeros = np.zeros((_kernels._SLICE, d.n, d.n), dtype=np.int64)
+    table = _kernels.window_rank_table(zeros, tab.offsets, tab.pairs, p)
+    spans = np.array([j - i for i, j in tab.pairs])
+    expected = np.where(np.arange(1, tab.kmax + 1) <= spans[:, None], 0, -1)
+    assert (table == expected).all()
+    # a batch that is not a multiple of _SLICE: every member as if alone
+    count = 2 * _kernels._SLICE - 3
+    mats = _nilradical_batch(rng, d, tab, count, p)
+    table = _kernels.window_rank_table(mats, tab.offsets, tab.pairs, p)
+    assert np.array_equal(table, np.concatenate(
+        [_kernels.window_rank_table(m[None], tab.offsets, tab.pairs, p) for m in mats]))
+
+
+def _sympy_jordan_type(a: ExactMatrix) -> tuple[int, ...]:
+    """Jordan block sizes read off sympy's Jordan form: blocks end where the
+    superdiagonal has a 0."""
+    import sympy
+
+    _, j = sympy.Matrix(a.rows).jordan_form()
+    sizes, run = [], 1
+    for r in range(a.n - 1):
+        if j[r, r + 1] == 0:
+            sizes.append(run)
+            run = 0
+        run += 1
+    sizes.append(run)
+    return tuple(sorted(sizes, reverse=True))
+
+
+@pytest.mark.parametrize("parts", [(1, 1, 1), (2, 1, 2), (1, 2, 1, 1), (2, 2, 1), (1, 3, 2)])
+def test_jordan_type_matches_sympy_jordan_form(parts):
+    from rorc.strata import window_tables
+
+    rng = np.random.default_rng(97 + sum(parts))
+    d = Composition.of(*parts)
+    tab = window_tables(d)
+    r, c = tab.positions[:, 0], tab.positions[:, 1]
+    for _ in range(4):
+        m = np.zeros((d.n, d.n), dtype=np.int64)
+        # small entries, some zeroed, so lower Jordan types occur too
+        m[r, c] = rng.integers(-2, 3, size=len(r)) * (rng.random(len(r)) < 0.6)
+        rows = [[Fraction(int(v), 2) for v in row] for row in m]
+        a = ExactMatrix(rows)
+        assert a.jordan_type() == _sympy_jordan_type(a)
