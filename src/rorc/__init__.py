@@ -25,15 +25,7 @@ from .diagrams import (
     render_ascii,
     subdiagram,
 )
-from .matrices import (
-    DEFAULT_PRIME,
-    ExactMatrix,
-    block,
-    exact_rank,
-    jordan_type,
-    power,
-    window,
-)
+from .matrices import DEFAULT_PRIME, ExactMatrix
 from .strata import (
     Decomposition,
     StratumSpec,

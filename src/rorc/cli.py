@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / all checks pass, 1 violation found or search budget
 exhausted, 2 invalid arguments or configuration.  The seed defaults to the
-RORC_SEED environment variable, then 0.  JSON written with --json / --out is
-deterministic for a fixed invocation (reports omit wall-clock timing).
+RORC_SEED environment variable, then 0, and must be >= 0.  JSON written with
+--json / --out is deterministic for a fixed invocation: it carries no timing.
 """
 
 from __future__ import annotations
@@ -144,6 +144,8 @@ def _cmd_witness(args) -> int:
         raise ConfigError(f"pair ({i},{j}) is not in Lambda({d})")
     if args.budget < 0:
         raise ConfigError(f"--budget must be >= 0, got {args.budget}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.verify_matrix:
         try:
             with open(args.verify_matrix, encoding="utf-8") as fh:

@@ -90,13 +90,21 @@ def vertex_id(d, col: int, height: int) -> int:
     return d.offsets[col - 1] + height
 
 
+def window_chains(d, i: int, j: int) -> list[list[int]]:
+    """Chains of the complete diagram inside the window of columns i..j:
+    entry h-1 lists, in order, the columns c in i..j with d_c >= h."""
+    d = as_composition(d)
+    d.check_window(i, j)
+    return [[c for c in range(i, j + 1) if d.parts[c - 1] >= h]
+            for h in range(1, max(d.parts[i - 1 : j]) + 1)]
+
+
 def complete_diagram(d) -> LineDiagram:
     """Join all same-height neighbors: one chain per height h, spanning the
     columns of size >= h in order."""
     d = as_composition(d)
     edges = []
-    for h in range(1, max(d.parts) + 1):
-        cols = [i for i in range(1, d.t + 1) if d.parts[i - 1] >= h]
+    for h, cols in enumerate(window_chains(d, 1, d.t), start=1):
         for a, b in zip(cols, cols[1:]):
             edges.append((vertex_id(d, a, h), vertex_id(d, b, h)))
     return LineDiagram(d, frozenset(edges))
@@ -157,26 +165,19 @@ def tableau_diagram(tab, d) -> LineDiagram:
     return LineDiagram(d, frozenset(edges))
 
 
-def _window_chain_lengths(d, i: int, j: int) -> list[int]:
-    # one chain per height h: all window columns of size >= h, joined in order
-    d = as_composition(d)
-    w = d.parts[i - 1 : j]
-    return [sum(1 for x in w if x >= h) - 1 for h in range(1, max(w) + 1)]
-
-
 def max_window_rank(d, i: int, j: int, k: int) -> int:
     """Rank of the k-th power of the window (i, j) of a dense-orbit element.
 
-    A chain of length c in the complete window diagram contributes
-    max(c - k + 1, 0) independent k-step segments, so the total is
-    sum_h max(len_h - k + 1, 0); equivalently the sum of the j-i-k+1 smallest
+    A chain through c columns of the complete window diagram contributes
+    max(c - k, 0) independent k-step segments, so the total is the sum over
+    window_chains(d, i, j); equivalently the sum of the j-i-k+1 smallest
     window parts.  Positive exactly when k <= j - i.
     """
     d = as_composition(d)
     d.check_pair(i, j)
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
-    return sum(max(c - k + 1, 0) for c in _window_chain_lengths(d, i, j))
+    return sum(max(len(c) - k, 0) for c in window_chains(d, i, j))
 
 
 def long_chain_count(d, i: int, j: int, k: int) -> int:
@@ -190,7 +191,7 @@ def long_chain_count(d, i: int, j: int, k: int) -> int:
     d.check_pair(i, j)
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
-    return sum(1 for c in _window_chain_lengths(d, i, j) if c >= k)
+    return sum(1 for c in window_chains(d, i, j) if len(c) > k)
 
 
 def render_ascii(diagram: LineDiagram) -> str:

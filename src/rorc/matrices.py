@@ -355,24 +355,3 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
             break
     return rank
 
-
-# -- functional aliases matching the operation vocabulary ---------------------
-
-def exact_rank(a: ExactMatrix) -> int:
-    return a.rank()
-
-
-def power(a: ExactMatrix, k: int) -> ExactMatrix:
-    return a.power(k)
-
-
-def jordan_type(a: ExactMatrix) -> tuple[int, ...]:
-    return a.jordan_type()
-
-
-def block(a: ExactMatrix, d, i: int, j: int) -> ExactMatrix:
-    return a.block(d, i, j)
-
-
-def window(a: ExactMatrix, d, i: int, j: int) -> ExactMatrix:
-    return a.window(d, i, j)

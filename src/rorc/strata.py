@@ -38,6 +38,7 @@ from .diagrams import (
     max_window_rank,
     tableau_diagram,
     vertex_id,
+    window_chains,
 )
 from .matrices import DEFAULT_PRIME, ExactMatrix
 from .tableaux import YoungTableau, minimal_movement
@@ -207,11 +208,6 @@ class WindowTables:
     positions: np.ndarray           # (m, 2) free entries of the pattern
 
 
-def _pair_index(i: int, j: int, t: int) -> int:
-    # lexicographic position of (i, j) among all 1 <= i < j <= t
-    return (i - 1) * (2 * t - i) // 2 + (j - i - 1)
-
-
 def window_tables(d) -> WindowTables:
     return _window_tables(as_composition(d))
 
@@ -236,7 +232,7 @@ def _window_tables(d: Composition) -> WindowTables:
     lset = lambda_pairs(d)
     gamma = np.array([p in gset for p in pairs], dtype=bool)
     lam = np.array([p in lset for p in pairs], dtype=bool)
-    full_index = _pair_index(1, t, t) if t > 1 else 0
+    full_index = pairs.index((1, t)) if t > 1 else 0
 
     positions = []
     for bi in range(1, t):
@@ -268,8 +264,6 @@ def rank_tables(mats: np.ndarray, tab: WindowTables, p: int) -> np.ndarray:
 
     The matrices must lie in the nilradical of ``tab.d``; ValueError otherwise.
     """
-    if mats.ndim == 2:
-        mats = mats[None, :, :]
     return _kernels.window_rank_table(mats, tab.offsets, tab.pairs, p)
 
 
@@ -277,6 +271,16 @@ def defect_flags(ranks: np.ndarray, tab: WindowTables) -> np.ndarray:
     """Boolean defect array aligned with the rank table."""
     thr = tab.thresholds
     return (thr >= 0) & (ranks < thr)
+
+
+def stratum_flags(defects: np.ndarray, tab: WindowTables) -> np.ndarray:
+    """Stratum membership (B, P) read off defect flags: the defect at kappa."""
+    return defects[:, np.arange(len(tab.pairs)), tab.kappas - 1]
+
+
+def seeded_stream(seed: int, key: int) -> np.random.Generator:
+    """The random stream keyed by (seed, key); seed must be >= 0."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, key))))
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +293,10 @@ def _segment_edges(d: Composition, i: int, j: int) -> list[tuple[int, tuple[int,
     rank at that exponent."""
     kap = kappa(d, i, j)
     out = []
-    for h in range(max(d.parts[i - 1 : j]), 0, -1):
-        cols = [c for c in range(i, j + 1) if d.parts[c - 1] >= h]
-        if len(cols) - 1 < kap:
-            continue
-        for a, b in zip(cols, cols[1:]):
-            out.append((h, (vertex_id(d, a, h), vertex_id(d, b, h))))
+    for h, cols in reversed(list(enumerate(window_chains(d, i, j), start=1))):
+        if len(cols) > kap:
+            for a, b in zip(cols, cols[1:]):
+                out.append((h, (vertex_id(d, a, h), vertex_id(d, b, h))))
     return out
 
 
@@ -338,12 +340,12 @@ def _walk_candidates(d: Composition, i: int, j: int, seed: int, budget: int):
     """Seeded randomized walk in diagram space, ``budget`` trials: a random
     break or the moved tableau's diagram, then random edge removals and
     reconnections between free chain ends.  Trial n draws from the stream
-    (seed, n)."""
+    seeded_stream(seed, n)."""
     breaks = _segment_edges(d, i, j)
     base = complete_diagram(d)
     moved = tableau_diagram(minimal_movement(d, i, j).tableau, d)
     for trial in range(budget):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, trial))))
+        rng = seeded_stream(seed, trial)
         if rng.integers(2):
             edges = set(moved.edges)
         else:
@@ -366,13 +368,6 @@ def _walk_candidates(d: Composition, i: int, j: int, seed: int, budget: int):
         yield LineDiagram(d, frozenset(edges))
 
 
-def _separates(flags_row: np.ndarray, tab: WindowTables, pi_target: int) -> bool:
-    lam_idx = np.nonzero(tab.lam)[0]
-    member = flags_row[lam_idx, tab.kappas[lam_idx] - 1]
-    want = lam_idx == pi_target
-    return bool(np.all(member == want))
-
-
 def separates(a: ExactMatrix, d, pair: tuple[int, int]) -> bool:
     """True when A lies in the stratum of ``pair`` and in the stratum of no
     other pair of lambda_pairs(d), by the exact predicate in_stratum."""
@@ -386,35 +381,36 @@ def separates(a: ExactMatrix, d, pair: tuple[int, int]) -> bool:
     )
 
 
-def witness(d, pair: tuple[int, int], seed: int = 0, budget: int = 100_000,
-            p: int = DEFAULT_PRIME) -> ExactMatrix:
+def witness(d, pair: tuple[int, int], seed: int = 0, budget: int = 100_000) -> ExactMatrix:
     """A nilradical matrix lying in the stratum of ``pair`` and in no other
     component stratum.
 
     Two candidate phases, the deterministic diagram candidates and then
-    ``budget`` trials of the seeded walk, are screened mod p in chunks of
-    _CHUNK, one rank table per chunk.  The first candidate that separates
-    mod p is certified over the rationals by ``separates``.  Raises
-    WitnessSearchError when both phases are exhausted.
+    ``budget`` trials of the seeded walk, are screened mod DEFAULT_PRIME in
+    chunks of _CHUNK, one rank table per chunk.  The first candidate in the
+    stratum of ``pair`` alone is certified over the rationals by
+    ``separates``.  Raises WitnessSearchError when both phases are exhausted.
     """
     d = as_composition(d)
     i, j = pair
     if (i, j) not in lambda_pairs(d):
         raise ValueError(f"pair ({i},{j}) is not in lambda_pairs({d})")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     tab = window_tables(d)
-    pi_target = _pair_index(i, j, d.t)
+    want = (np.arange(len(tab.pairs)) == tab.pairs.index((i, j)))[tab.lam]
     for candidates in (_diagram_candidates(d, i, j),
                        _walk_candidates(d, i, j, seed, budget)):
         while chunk := list(islice(candidates, _CHUNK)):
             mats = np.stack([diag.to_matrix().to_numpy() for diag in chunk])
-            flags = defect_flags(rank_tables(mats, tab, p), tab)
-            for row, diag in zip(flags, chunk):
-                if _separates(row, tab, pi_target):
-                    a = diag.to_matrix()
-                    if not separates(a, d, (i, j)):
-                        raise AssertionError(
-                            "mod-p screening accepted a matrix that does not separate")
-                    return a
+            flags = defect_flags(rank_tables(mats, tab, DEFAULT_PRIME), tab)
+            hits = np.flatnonzero((stratum_flags(flags, tab)[:, tab.lam] == want).all(axis=1))
+            if hits.size:
+                a = chunk[hits[0]].to_matrix()
+                if not separates(a, d, (i, j)):
+                    raise AssertionError(
+                        "mod-p screening accepted a matrix that does not separate")
+                return a
     raise WitnessSearchError(
         f"no separating witness for {pair} within {budget} trials; "
         "this signals a bug or a degenerate configuration worth inspecting"

@@ -26,6 +26,7 @@ from .compositions import (
     is_partition,
     richardson_partition,
 )
+from .diagrams import window_chains
 
 
 @dataclass(frozen=True)
@@ -66,12 +67,10 @@ class YoungTableau:
 
 
 def richardson_tableau(d) -> YoungTableau:
-    """The unique tableau of maximal shape: row h lists {i : d_i >= h}."""
+    """The unique tableau of maximal shape: row h lists {i : d_i >= h}, the
+    columns of chain h of the complete diagram."""
     d = as_composition(d)
-    rows = []
-    for h in range(1, max(d.parts) + 1):
-        rows.append(tuple(i for i in range(1, d.t + 1) if d.parts[i - 1] >= h))
-    return YoungTableau(tuple(rows))
+    return YoungTableau(window_chains(d, 1, d.t))
 
 
 def tableaux_with_content(mu: tuple[int, ...], d) -> list[YoungTableau]:

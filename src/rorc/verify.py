@@ -8,15 +8,15 @@ are integer-polynomial conditions, so they are tested over small prime fields
 (exhaustively) and over F_32003 (by sampling); a finite-field counterexample
 is reported as a finding, never auto-dismissed.
 
-Reports are deterministic functions of the configuration: the sampled
-populations are drawn from streams keyed by (seed, phase), so a trial's
-matrix is a pure function of (seed, trial index).  Serialized reports omit
-wall-clock timing for byte-identical reproducibility.
+Reports are deterministic functions of the configuration and carry no
+wall-clock timing.  The sampled populations are drawn from streams keyed by
+(seed, phase).  A generic trial is a pure function of (seed, trial index); a
+forced trial also depends on the trial count, since its window, power and
+broken edge are drawn after all of the forced sample's background entries.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -29,9 +29,16 @@ from .compositions import (
     lambda_pairs,
     low_intermediates,
 )
-from .diagrams import max_window_rank
+from .diagrams import complete_diagram, max_window_rank, vertex_id, window_chains
 from .matrices import DEFAULT_PRIME, ExactMatrix, _is_prime
-from .strata import WindowTables, defect_flags, rank_tables, window_tables
+from .strata import (
+    WindowTables,
+    defect_flags,
+    rank_tables,
+    seeded_stream,
+    stratum_flags,
+    window_tables,
+)
 from .tableaux import richardson_tableau, shared_row
 
 REPORT_SCHEMA = "rorc.report/1"
@@ -68,6 +75,8 @@ class ExperimentConfig:
                 "the int64 kernels need n*(p-1)^2 < 2^63")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.dim_cap < 1:
             raise ConfigError("dim_cap must be positive")
 
@@ -112,20 +121,17 @@ class VerificationReport:
     config: dict
     checks: list[CheckResult]
     components: int | None = None   # |Lambda(d)|, serialized when set
-    timing_s: float | None = None
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         out = {"schema": REPORT_SCHEMA, "config": self.config}
         if self.components is not None:
             out["components"] = self.components
         out["passed"] = self.passed
         out["checks"] = [c.to_json_dict() for c in self.checks]
-        if include_timing and self.timing_s is not None:
-            out["timing_s"] = self.timing_s
         return out
 
 
@@ -161,10 +167,6 @@ def _exhaustive_batches(cfg: ExperimentConfig, tab: WindowTables):
         first += count
 
 
-def _stream(seed: int, phase: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, phase))))
-
-
 def _uniform(rng: np.random.Generator, trials: int, cfg: ExperimentConfig,
              tab: WindowTables) -> np.ndarray:
     """Uniform nilradical matrices over F_p, trials x n x n."""
@@ -175,11 +177,7 @@ def _uniform(rng: np.random.Generator, trials: int, cfg: ExperimentConfig,
 
 
 def _generic_sample(cfg: ExperimentConfig, tab: WindowTables) -> np.ndarray:
-    return _uniform(_stream(cfg.seed, 0), cfg.trials, cfg, tab)
-
-
-def _window_chain_cols(d: Composition, i: int, j: int, h: int) -> list[int]:
-    return [c for c in range(i, j + 1) if d.parts[c - 1] >= h]
+    return _uniform(seeded_stream(cfg.seed, 0), cfg.trials, cfg, tab)
 
 
 def _forced_sample(cfg: ExperimentConfig, tab: WindowTables):
@@ -191,10 +189,8 @@ def _forced_sample(cfg: ExperimentConfig, tab: WindowTables):
     Returns (matrices, forced) where forced[b] = (pair_index, k).  Without a
     window (t = 1) nothing can be forced and the sample is empty.
     """
-    from .diagrams import complete_diagram, vertex_id
-
     d = cfg.d
-    rng = _stream(cfg.seed, 1)
+    rng = seeded_stream(cfg.seed, 1)
     p = cfg.fieldsize
     o = d.offsets
     base_edges = sorted(complete_diagram(d).edges)
@@ -206,12 +202,9 @@ def _forced_sample(cfg: ExperimentConfig, tab: WindowTables):
         pi = int(rng.integers(len(tab.pairs)))
         i, j = tab.pairs[pi]
         k = int(rng.integers(1, j - i + 1))
-        heights = [
-            h for h in range(1, max(d.parts[i - 1 : j]) + 1)
-            if len(_window_chain_cols(d, i, j, h)) - 1 >= k
-        ]
-        h = heights[int(rng.integers(len(heights)))]
-        cols = _window_chain_cols(d, i, j, h)
+        chains = [(h, cols) for h, cols in enumerate(window_chains(d, i, j), start=1)
+                  if len(cols) > k]
+        h, cols = chains[int(rng.integers(len(chains)))]
         e = int(rng.integers(len(cols) - 1))
         removed = (vertex_id(d, cols[e], h), vertex_id(d, cols[e + 1], h))
         lo, hi = o[i - 1], o[j]
@@ -253,12 +246,11 @@ def _populations(cfg: ExperimentConfig, tab: WindowTables):
 
 def _batches(cfg: ExperimentConfig, tab: WindowTables):
     """Rank each population batch once and derive its flags."""
-    pairs = np.arange(len(tab.pairs))
     full = slice(tab.full_index, tab.full_index + 1)    # empty when t = 1
     for population, first, mats, forced in _populations(cfg, tab):
         ranks = rank_tables(mats, tab, cfg.fieldsize)
         defects = defect_flags(ranks, tab)
-        stratum = defects[:, pairs, tab.kappas - 1]
+        stratum = stratum_flags(defects, tab)
         yield _Batch(
             population, first, mats, forced, defects, stratum,
             covered=stratum[:, tab.lam].any(axis=1),
@@ -477,7 +469,8 @@ def run_checks(cfg: ExperimentConfig, checks=("theorem", "lemmas")) -> Verificat
     Each batch is ranked once, and the theorem and lemma reducers read the
     same flags.  Results come in the order counts, theorem, lemmas.
     """
-    start = time.perf_counter()
+    if not checks:
+        raise ConfigError("no checks selected")
     unknown = set(checks) - set(_CHECKS)
     if unknown:
         raise ConfigError(f"unknown checks {sorted(unknown)}")
@@ -495,9 +488,7 @@ def run_checks(cfg: ExperimentConfig, checks=("theorem", "lemmas")) -> Verificat
                 reducer.feed(batch)
     for reducer in reducers:
         results.extend(reducer.results())
-    report = VerificationReport(cfg.to_json_dict(), results, len(lambda_pairs(cfg.d)))
-    report.timing_s = time.perf_counter() - start
-    return report
+    return VerificationReport(cfg.to_json_dict(), results, len(lambda_pairs(cfg.d)))
 
 
 def random_composition(rng: np.random.Generator, max_t: int = 6,
@@ -517,8 +508,7 @@ def check_component_count(cfg: ExperimentConfig) -> VerificationReport:
     is false, e.g. (4,1,4,2) has 3 = t-1 of them; only the exclusion of the
     two flanking pairs survives.)
     """
-    start = time.perf_counter()
-    rng = _stream(cfg.seed, 2)
+    rng = seeded_stream(cfg.seed, 2)
     counts = {
         "trials": cfg.trials, "bound_violations": 0,
         "monotone_equality_failures": 0, "distinct_equality_failures": 0,
@@ -569,11 +559,9 @@ def check_component_count(cfg: ExperimentConfig) -> VerificationReport:
         for k in ("bound_violations", "monotone_equality_failures",
                   "distinct_equality_failures", "pair_exclusion_failures")
     )
-    report = VerificationReport(cfg.to_json_dict(), [
+    return VerificationReport(cfg.to_json_dict(), [
         CheckResult("component_count", passed, counts, violations)
     ])
-    report.timing_s = time.perf_counter() - start
-    return report
 
 
 def compositions_of(n: int):
@@ -604,7 +592,6 @@ def gl5_fixture_suite(seed: int = 0, generic_trials: int = 1000) -> Verification
     """Exhaustive F_2 theorem check for every composition of 5 with t >= 2,
     asserting the worked component counts, plus a generic-frequency sample
     over F_32003 for each."""
-    start = time.perf_counter()
     checks = []
     for parts in sorted(compositions_of(5)):
         if len(parts) < 2:
@@ -629,7 +616,5 @@ def gl5_fixture_suite(seed: int = 0, generic_trials: int = 1000) -> Verification
         passed = passed and srep.passed and freq >= 0.99
         checks.append(CheckResult(
             f"gl5_{','.join(map(str, parts))}", passed, counts, result.violations))
-    report = VerificationReport(
+    return VerificationReport(
         {"suite": "gl5", "seed": seed, "generic_trials": generic_trials}, checks)
-    report.timing_s = time.perf_counter() - start
-    return report

@@ -246,6 +246,32 @@ def test_malformed_seed_env_exits_2(capsys, monkeypatch):
     assert code == 2 and "RORC_SEED" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # the diagram phase finds this witness without reading the seed
+    ["witness", "-d", "7,5,2,3,5,1,2,6,5", "--pair", "3,7", "--seed", "-1"],
+    ["witness", "-d", "3,1,1,1,3,1", "--pair", "2,3", "--seed", "-2"],
+    ["verify", "-d", "2,1,2", "--mode", "exhaustive", "--seed", "-1"],
+    ["verify", "-d", "2,1,2", "--mode", "sample", "--seed", "-1"],
+])
+def test_negative_seed_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "seed must be >= 0" in err and out == ""
+
+
+def test_negative_seed_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("RORC_SEED", "-5")
+    for argv in (["verify", "-d", "2,1,2", "--mode", "exhaustive"],
+                 ["verify", "-d", "2,1,2", "--mode", "sample", "--trials", "5"],
+                 ["witness", "-d", "2,1,2", "--pair", "1,3"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "seed must be >= 0, got -5" in err
+
+
+def test_verify_rejects_empty_checks(capsys):
+    code, out, err = run(capsys, "verify", "-d", "2,1,2", "--checks", ",")
+    assert code == 2 and "no checks selected" in err and out == ""
+
+
 def test_verify_rejects_field_beyond_int64_bound(capsys):
     # 8 * (p - 1)^2 >= 2^63 at p = 2^31 - 1: the int64 kernels would wrap
     code, _, err = run(capsys, "verify", "-d", "2,2,2,2", "--field", "2147483647")

@@ -16,7 +16,7 @@ from rorc import (
     render_ascii,
     subdiagram,
 )
-from rorc.diagrams import tableau_diagram, vertex_id
+from rorc.diagrams import tableau_diagram, vertex_id, window_chains
 from rorc.matrices import ExactMatrix
 from rorc.tableaux import richardson_tableau
 
@@ -164,6 +164,16 @@ def test_max_window_rank_is_exact_window_rank():
                         x.window(d, i, j).power(k).rank()
                         == max_window_rank(d, i, j, k)
                     )
+
+
+def test_window_chains():
+    # entry h-1: the window columns of size >= h, in order
+    assert window_chains(RUNNING, 4, 7) == [[4, 5, 6, 7], [4, 5, 7], [4, 5], [5], [5]]
+    assert window_chains(RUNNING, 6, 6) == [[6]]
+    rows = richardson_tableau(RUNNING).rows
+    assert [tuple(c) for c in window_chains(RUNNING, 1, RUNNING.t)] == list(rows)
+    with pytest.raises(ValueError):
+        window_chains(RUNNING, 5, 4)
 
 
 def test_long_chain_count_vs_rank_formula():

@@ -45,6 +45,12 @@ CASES = {
     # found by the seeded random walk
     "witness_walk_311131": (
         ["witness", "-d", "3,1,1,1,3,1", "--pair", "2,3", "--seed", "2"], 0),
+    # the running example's decomposition, diagrams and tableaux
+    "analyze_running": (["analyze", "-d", "7,5,2,3,5,1,2,6,5"], 0),
+    "diagram_running": (["diagram", "-d", "7,5,2,3,5,1,2,6,5"], 0),
+    "diagram_running_4_7": (["diagram", "-d", "7,5,2,3,5,1,2,6,5", "--pair", "4,7"], 0),
+    "tableau_running": (["tableau", "-d", "7,5,2,3,5,1,2,6,5"], 0),
+    "tableau_running_2_5": (["tableau", "-d", "7,5,2,3,5,1,2,6,5", "--pair", "2,5"], 0),
 }
 
 

@@ -31,7 +31,7 @@ from rorc import (
     witness,
 )
 from rorc.diagrams import LineDiagram, complete_diagram
-from rorc.strata import rank_tables, window_tables
+from rorc.strata import defect_flags, rank_tables, stratum_flags, window_tables
 
 RUNNING = Composition.of(7, 5, 2, 3, 5, 1, 2, 6, 5)
 
@@ -265,6 +265,13 @@ def test_witness_rejects_non_lambda_pair():
         witness(Composition.of(2, 1, 2), (1, 2))
 
 
+def test_witness_rejects_negative_seed_before_searching():
+    # the diagram phase alone finds this witness, so the seed is never read
+    d = Composition.of(7, 5, 2, 3, 5, 1, 2, 6, 5)
+    with pytest.raises(ValueError, match="seed"):
+        witness(d, (3, 7), seed=-1)
+
+
 def test_window_tables_structure():
     tab = window_tables(Composition.of(2, 1, 2))
     assert tab.pairs == ((1, 2), (1, 3), (2, 3))
@@ -329,6 +336,19 @@ def _random_line_diagram(rng: random.Random, d: Composition) -> LineDiagram:
             used_left.add(v)
             edges.append((u, v))
     return LineDiagram(d, frozenset(edges))
+
+
+def test_stratum_flags_match_in_stratum():
+    rng = random.Random(5)
+    for _ in range(10):
+        d = Composition.of(*(rng.randint(1, 3) for _ in range(rng.randint(2, 5))))
+        tab = window_tables(d)
+        diagrams = [_random_line_diagram(rng, d) for _ in range(4)]
+        mats = np.stack([g.to_matrix().to_numpy() for g in diagrams])
+        flags = stratum_flags(defect_flags(rank_tables(mats, tab, 32003), tab), tab)
+        for b, g in enumerate(diagrams):
+            a = g.to_matrix()
+            assert flags[b].tolist() == [in_stratum(a, d, i, j) for i, j in tab.pairs]
 
 
 @pytest.mark.parametrize("p", [2, 32003])

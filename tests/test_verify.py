@@ -24,6 +24,7 @@ from rorc.verify import (
     _LEMMAS,
     GL5_EXPECTED,
     _batches,
+    _generic_sample,
     _Lemmas,
     _lemma_violations,
     compositions_of,
@@ -189,8 +190,6 @@ def test_report_json_shape():
     assert data["schema"] == "rorc.report/1"
     assert data["config"]["d"] == [1, 1, 1]
     assert "timing_s" not in data
-    assert rep.timing_s is not None
-    assert "timing_s" in rep.to_json_dict(include_timing=True)
 
 
 def test_random_composition_bounds():
@@ -204,6 +203,16 @@ def test_random_composition_bounds():
 def test_compositions_of():
     assert sorted(compositions_of(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
     assert len(list(compositions_of(5))) == 16
+
+
+def test_generic_sample_is_prefix_stable():
+    # a generic trial is a pure function of (seed, trial index); the forced
+    # sample is not, since its per-trial draws follow all background draws
+    d = Composition.of(2, 1, 2, 1, 2)
+    tab = window_tables(d)
+    short, long = (_generic_sample(ExperimentConfig(d=d, fieldsize=32003, trials=t, seed=1), tab)
+                   for t in (5, 6))
+    assert np.array_equal(short, long[:5])
 
 
 def test_config_coerces_plain_tuples():
