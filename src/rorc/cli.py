@@ -1,8 +1,9 @@
 """Command-line front end: analyze, diagram, tableau, verify, witness.
 
 Exit codes: 0 success / all checks pass, 1 violation found or search budget
-exhausted, 2 invalid arguments or configuration.  The seed defaults to the
-RORC_SEED environment variable, then 0, and must be >= 0.  JSON written with
+exhausted, 2 invalid arguments or configuration.  verify and witness take
+the seed from --seed, else the RORC_SEED environment variable, else 0; it
+must be >= 0, and no other command reads RORC_SEED.  JSON written with
 --json / --out is deterministic for a fixed invocation: it carries no timing.
 """
 
@@ -33,12 +34,12 @@ def _parse_d(text: str) -> Composition:
         raise ConfigError(f"bad composition {text!r}: {exc}") from exc
 
 
-def _parse_pair(text: str, d: Composition) -> tuple[int, int]:
+def _parse_pair(text: str) -> tuple[int, int]:
+    """Two integers 'i,j'; the caller checks their range against d."""
     try:
         i, j = (int(x) for x in text.split(","))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad pair {text!r}; expected 'i,j'") from exc
-    d.check_pair(i, j)
     return i, j
 
 
@@ -90,7 +91,7 @@ def _cmd_diagram(args) -> int:
     diagram = complete_diagram(d)
     label = f"complete diagram for d = {d}"
     if args.pair:
-        i, j = (int(x) for x in args.pair.split(","))
+        i, j = _parse_pair(args.pair)
         d.check_window(i, j)
         diagram = subdiagram(diagram, i, j)
         label = f"subdiagram of columns {i}..{j} for d = {d}"
@@ -110,7 +111,8 @@ def _cmd_diagram(args) -> int:
 def _cmd_tableau(args) -> int:
     d = _parse_d(args.d)
     if args.pair:
-        i, j = _parse_pair(args.pair, d)
+        i, j = _parse_pair(args.pair)
+        d.check_pair(i, j)
         tab = minimal_movement(d, i, j).tableau
     else:
         tab = richardson_tableau(d)
@@ -123,9 +125,10 @@ def _cmd_tableau(args) -> int:
 
 def _cmd_verify(args) -> int:
     d = _parse_d(args.d)
+    seed = _default_seed() if args.seed is None else args.seed
     cfg = ExperimentConfig(
         d=d, mode=args.mode, fieldsize=args.field, trials=args.trials,
-        seed=args.seed, dim_cap=args.dim_cap,
+        seed=seed, dim_cap=args.dim_cap,
     )
     report = run_checks(cfg, [c.strip() for c in args.checks.split(",") if c.strip()])
     if args.json or args.out:
@@ -139,13 +142,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_witness(args) -> int:
     d = _parse_d(args.d)
-    i, j = _parse_pair(args.pair, d)
+    i, j = _parse_pair(args.pair)
+    d.check_pair(i, j)
     if (i, j) not in lambda_pairs(d):
         raise ConfigError(f"pair ({i},{j}) is not in Lambda({d})")
     if args.budget < 0:
         raise ConfigError(f"--budget must be >= 0, got {args.budget}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    seed = _default_seed() if args.seed is None else args.seed
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     if args.verify_matrix:
         try:
             with open(args.verify_matrix, encoding="utf-8") as fh:
@@ -160,7 +165,7 @@ def _cmd_witness(args) -> int:
         print(f"matrix {'separates' if good else 'does NOT separate'} stratum ({i},{j})")
         return 0 if good else 1
     try:
-        a = witness(d, (i, j), seed=args.seed, budget=args.budget)
+        a = witness(d, (i, j), seed=seed, budget=args.budget)
     except WitnessSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -189,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "parameter sets, tableaux, rank thresholds, verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _default_seed()
 
     def common(p, pair_help=None):
         p.add_argument("-d", required=True, help="composition, e.g. 7,5,2,3,5,1,2,6,5")
@@ -215,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="sample")
     p.add_argument("--field", type=int, default=2, help="prime field size")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.add_argument("--dim-cap", type=int, default=20, dest="dim_cap")
     p.add_argument(
         "--checks", default="theorem,lemmas",
@@ -225,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="find a separating witness for a component")
     common(p, pair_help="component pair i,j (required)")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.add_argument("--budget", type=int, default=100_000)
     p.add_argument("--verify-matrix", help="check a matrix JSON file instead of searching")
     p.set_defaults(func=_cmd_witness)

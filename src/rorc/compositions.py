@@ -11,7 +11,8 @@ irreducible components of the complement of the dense orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import accumulate, combinations
 
 Pair = tuple[int, int]
 
@@ -42,13 +43,15 @@ class Composition:
     def n(self) -> int:
         return sum(self.parts)
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
         """Block boundaries 0 = o_0 < o_1 < ... < o_t = n."""
-        out = [0]
-        for p in self.parts:
-            out.append(out[-1] + p)
-        return tuple(out)
+        return (0, *accumulate(self.parts))
+
+    @cached_property
+    def block_of(self) -> tuple[int, ...]:
+        """The 1-based block of each index 0..n-1."""
+        return tuple(b for b, p in enumerate(self.parts, start=1) for _ in range(p))
 
     def window(self, i: int, j: int) -> "Composition":
         """The sub-composition (d_i, ..., d_j), blocks 1-based and inclusive."""

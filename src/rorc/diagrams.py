@@ -50,11 +50,9 @@ class LineDiagram:
 
     def vertex_column(self, v: int) -> int:
         """1-based column of vertex v."""
-        o = self.columns.offsets
-        for i in range(1, self.columns.t + 1):
-            if v <= o[i]:
-                return i
-        raise ValueError(f"vertex {v} out of range 1..{self.n}")
+        if not 1 <= v <= self.n:
+            raise ValueError(f"vertex {v} out of range 1..{self.n}")
+        return self.columns.block_of[v - 1]
 
     def vertex_height(self, v: int) -> int:
         """1-based height of vertex v inside its column (1 = top)."""

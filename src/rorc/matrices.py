@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import numpy as np
 
@@ -171,21 +172,16 @@ class ExactMatrix:
             a = self.to_numpy()
             b = other.to_numpy()
             return ExactMatrix(_kernels.matmul_mod(a, b, self.p).tolist(), self.field)
-        rows = []
-        for r in range(self.nrows):
-            row = []
-            for c in range(other.ncols):
-                row.append(sum(self.rows[r][k] * other.rows[k][c]
-                               for k in range(self.ncols)))
-            rows.append(row)
-        return ExactMatrix(rows, self.field)
+        cols = list(zip(*other.rows))
+        return ExactMatrix([[sum(map(mul, row, col)) for col in cols] for row in self.rows],
+                           self.field)
 
     def power(self, k: int) -> "ExactMatrix":
         if k < 0:
             raise ValueError("negative power")
-        n = self.n
-        out = ExactMatrix.identity(n, self.field)
-        for _ in range(k):
+        n = self.n      # raises on a non-square matrix
+        out = self if k else ExactMatrix.identity(n, self.field)
+        for _ in range(k - 1):
             out = out.mul(self)
         return out
 

@@ -59,10 +59,7 @@ def in_nilradical(a: ExactMatrix, d) -> bool:
     d = as_composition(d)
     if not a.is_square() or a.n != d.n:
         raise ValueError(f"matrix size {a.nrows} does not match n={d.n}")
-    o = d.offsets
-    blk = []
-    for i in range(d.t):
-        blk.extend([i] * d.parts[i])
+    blk = d.block_of
     for r in range(a.n):
         for c in range(a.n):
             if blk[r] >= blk[c] and a.entry(r, c) != 0:
@@ -107,21 +104,19 @@ def is_richardson(a: ExactMatrix, d) -> bool:
 def defect_profile(a: ExactMatrix, d) -> list[tuple[int, int, int]]:
     """All (i, j, k) with k <= j - i where A is rank-defective.
 
-    Empty exactly when A is of generic Jordan type.
+    Empty exactly when A is of generic Jordan type.  The window (i, j) of
+    A^k is the k-th power of the window of A, so the t - 2 products
+    A^2, ..., A^(t-1) serve every window.
     """
     d = as_composition(d)
     _require_nilradical(a, d)
-    out = []
-    for i in range(1, d.t):
-        for j in range(i + 1, d.t + 1):
-            w = a.window(d, i, j)
-            wk = w
-            for k in range(1, j - i + 1):
-                if wk.rank() < max_window_rank(d, i, j, k):
-                    out.append((i, j, k))
-                if k < j - i:
-                    wk = wk.mul(w)
-    return out
+    powers = [a]
+    for _ in range(2, d.t):
+        powers.append(powers[-1].mul(a))
+    return [(i, j, k)
+            for i in range(1, d.t) for j in range(i + 1, d.t + 1)
+            for k in range(1, j - i + 1)
+            if powers[k - 1].window(d, i, j).rank() < max_window_rank(d, i, j, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +337,7 @@ def _walk_candidates(d: Composition, i: int, j: int, seed: int, budget: int):
     reconnections between free chain ends.  Trial n draws from the stream
     seeded_stream(seed, n)."""
     breaks = _segment_edges(d, i, j)
+    blk = d.block_of
     base = complete_diagram(d)
     moved = tableau_diagram(minimal_movement(d, i, j).tableau, d)
     for trial in range(budget):
@@ -354,14 +350,13 @@ def _walk_candidates(d: Composition, i: int, j: int, seed: int, budget: int):
         for _ in range(int(rng.integers(1, 5))):
             if edges and rng.integers(2):
                 edges.discard(sorted(edges)[int(rng.integers(len(edges)))])
-            diagram = LineDiagram(d, frozenset(edges))
-            has_right = {a for a, _ in diagram.edges}
-            has_left = {b for _, b in diagram.edges}
+            has_right = {a for a, _ in edges}
+            has_left = {b for _, b in edges}
             free = [
                 (u, v)
                 for u in range(1, d.n + 1) if u not in has_right
                 for v in range(1, d.n + 1) if v not in has_left
-                and diagram.vertex_column(u) < diagram.vertex_column(v)
+                and blk[u - 1] < blk[v - 1]
             ]
             if free and rng.integers(2):
                 edges.add(free[int(rng.integers(len(free)))])

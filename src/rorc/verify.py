@@ -77,17 +77,13 @@ class ExperimentConfig:
             raise ConfigError("trials must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.dim_cap < 1:
-            raise ConfigError("dim_cap must be positive")
+        # a budget of 2^64 already admits every scan the int64 index allows
+        if not 1 <= self.dim_cap <= 64:
+            raise ConfigError(f"dim_cap must be in 1..64, got {self.dim_cap}")
 
     @property
     def free_dim(self) -> int:
-        parts = self.d.parts
-        return sum(
-            parts[i] * parts[j]
-            for i in range(len(parts))
-            for j in range(i + 1, len(parts))
-        )
+        return (self.d.n ** 2 - sum(p * p for p in self.d.parts)) // 2
 
     def to_json_dict(self) -> dict:
         return {

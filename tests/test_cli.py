@@ -3,7 +3,6 @@ import json
 import pytest
 
 from rorc.cli import main
-from rorc.verify import ConfigError
 
 
 def run(capsys, *argv):
@@ -225,17 +224,26 @@ def test_witness_requires_pair(capsys):
 
 
 def test_seed_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("RORC_SEED", "99")
-    from rorc.cli import build_parser
+    def report_seed(*extra):
+        code, out, _ = run(capsys, "verify", "-d", "1,1", "--trials", "5",
+                           "--checks", "counts", "--json", *extra)
+        assert code == 0
+        return json.loads(out)["config"]["seed"]
 
-    args = build_parser().parse_args(["verify", "-d", "1,1"])
-    assert args.seed == 99
+    monkeypatch.setenv("RORC_SEED", "99")
+    assert report_seed() == 99
     monkeypatch.setenv("RORC_SEED", "")
-    args = build_parser().parse_args(["verify", "-d", "1,1"])
-    assert args.seed == 0
+    assert report_seed() == 0
     monkeypatch.setenv("RORC_SEED", "not-an-int")
-    with pytest.raises(ConfigError, match="RORC_SEED"):
-        build_parser()
+    for argv in (["verify", "-d", "1,1", "--trials", "5"],
+                 ["witness", "-d", "1,1", "--pair", "1,2"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "RORC_SEED" in err and out == ""
+    # an explicit --seed wins; commands without a seed never read the variable
+    assert report_seed("--seed", "3") == 3
+    for argv in (["analyze", "-d", "2,1,2"], ["diagram", "-d", "2,1,2"],
+                 ["tableau", "-d", "2,1,2", "--pair", "1,3"]):
+        assert run(capsys, *argv)[0] == 0
 
 
 def test_malformed_seed_env_exits_2(capsys, monkeypatch):
@@ -286,3 +294,34 @@ def test_verify_rejects_exhaustive_index_beyond_int64(capsys):
     code, _, _ = run(capsys, "verify", "-d", "2,2,2", "--mode", "exhaustive",
                      "--field", "2")
     assert code == 0
+
+
+@pytest.mark.parametrize("cap", ["65", "10000000000"])
+def test_verify_rejects_dim_cap_above_64(capsys, cap):
+    # the budget 2^dim_cap must be refused before it is ever formed
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "-d", "2,1,2", "--mode", "exhaustive",
+                             "--checks", "theorem", "--dim-cap", cap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == "" and peak < 5_000_000
+    assert err.startswith("error: ") and err.count("\n") == 1 and "dim_cap" in err
+
+
+@pytest.mark.parametrize("pair", ["1,2,3", "x,1"])
+@pytest.mark.parametrize("command", ["diagram", "tableau", "witness"])
+def test_malformed_pair_exits_2(capsys, command, pair):
+    code, out, err = run(capsys, command, "-d", "2,1,2", "--pair", pair)
+    assert code == 2 and out == ""
+    assert err == f"error: bad pair '{pair}'; expected 'i,j'\n"
+
+
+def test_diagram_pair_is_a_window(capsys):
+    # a window may be a single column; only tableau and witness need i < j
+    assert run(capsys, "diagram", "-d", "2,1,2", "--pair", "2,2")[0] == 0
+    assert run(capsys, "diagram", "-d", "2,1,2", "--pair", "3,4")[0] == 2
+    assert run(capsys, "tableau", "-d", "2,1,2", "--pair", "2,2")[0] == 2

@@ -226,3 +226,23 @@ def test_subdiagram_of_general_diagram():
     assert sub.columns == Composition.of(1, 2)
     assert sub.edges == {(1, 2)}  # the old (3,4), shifted by the window offset
     assert chain_lengths(sub) == (1, 0)
+
+
+def test_block_of_and_vertex_column_agree_with_offsets():
+    rng = random.Random(17)
+    for _ in range(40):
+        d = Composition.of(*(rng.randint(1, 5) for _ in range(rng.randint(1, 7))))
+        o = d.offsets
+        assert d.block_of == tuple(
+            next(b for b in range(1, d.t + 1) if x < o[b]) for x in range(d.n))
+        diagram = LineDiagram(d)
+        for v in range(1, d.n + 1):
+            c = diagram.vertex_column(v)
+            assert o[c - 1] < v <= o[c] and c == d.block_of[v - 1]
+        for v in (0, d.n + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                diagram.vertex_column(v)
+    # the cached geometry stays out of equality and hashing
+    d = Composition.of(2, 1, 2)
+    assert d.block_of == (1, 1, 2, 3, 3) and d.offsets == (0, 2, 3, 5)
+    assert d == Composition.of(2, 1, 2) and hash(d) == hash(Composition.of(2, 1, 2))

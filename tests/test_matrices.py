@@ -275,6 +275,39 @@ def test_matmul_mod_matches_integer_products():
                           for j in range(k)] for i in range(n)]
 
 
+def _random_nilradical(rng: random.Random, d: Composition, field: str) -> ExactMatrix:
+    """Random strictly block upper triangular matrix over ``field``: entries
+    in -3..3, with about a third of the blocks left zero."""
+    o = d.offsets
+    rows = [[0] * d.n for _ in range(d.n)]
+    for bi in range(1, d.t):
+        for bj in range(bi + 1, d.t + 1):
+            if rng.random() < 1 / 3:
+                continue
+            for r in range(o[bi - 1], o[bi]):
+                for c in range(o[bj - 1], o[bj]):
+                    rows[r][c] = rng.randint(-3, 3)
+    return ExactMatrix(rows, field)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:7"])
+def test_window_of_power_is_power_of_window(field):
+    """In the nilradical, the window (i, j) of A^k is the k-th power of the
+    window (i, j) of A, so one chain of powers of A serves every window."""
+    rng = random.Random(29)
+    comps = [(2, 3), (1, 1), (7, 5, 2, 3, 5, 1, 2, 6, 5)] + [
+        tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 5))) for _ in range(8)]
+    for parts in comps:
+        d = Composition.of(*parts)
+        a = _random_nilradical(rng, d, field)
+        powers = [a.power(k) for k in range(1, d.t)]
+        for i in range(1, d.t):
+            for j in range(i + 1, d.t + 1):
+                w = a.window(d, i, j)
+                for k in range(1, j - i + 1):
+                    assert powers[k - 1].window(d, i, j) == w.power(k)
+
+
 def _nilradical_batch(rng, d, tab, count, p):
     """Random nilradical matrices, every fourth one rank-deficient."""
     mats = np.zeros((count, d.n, d.n), dtype=np.int64)

@@ -370,6 +370,39 @@ def test_rank_tables_match_bareiss_on_line_diagrams(p):
                     w.power(k).rank() for k in range(1, j - i + 1)]
 
 
+def test_defect_profile_matches_rank_defect():
+    """defect_profile lists exactly the cells (i, j, k) where rank_defect
+    holds, in (i, j, k) order, on dense, sparse and line-diagram matrices."""
+    rng = random.Random(41)
+    comps = [RUNNING] + [Composition.of(*(rng.randint(1, 3) for _ in range(rng.randint(1, 5))))
+                         for _ in range(10)]
+    for d in comps:
+        positions = window_tables(d).positions.tolist()
+        dense = ExactMatrix.from_triples(d.n, [(r, c, rng.randint(0, 3)) for r, c in positions])
+        sparse = ExactMatrix.from_triples(
+            d.n, [(r, c, rng.randint(1, 3)) for r, c in positions if rng.random() < 0.2],
+            field="Fp:3")
+        cells = [(i, j, k) for i in range(1, d.t) for j in range(i + 1, d.t + 1)
+                 for k in range(1, j - i + 1)]
+        for a in (dense, sparse, _random_line_diagram(rng, d).to_matrix()):
+            assert defect_profile(a, d) == [c for c in cells if rank_defect(a, d, *c)]
+
+
+def test_defect_profile_forms_each_power_of_a_once(monkeypatch):
+    a = witness(RUNNING, (3, 7))
+    calls = 0
+    mul = ExactMatrix.mul
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(ExactMatrix, "mul", counting_mul)
+    assert defect_profile(a, RUNNING)
+    assert calls == RUNNING.t - 2 == 7
+
+
 def test_low_power_defect_does_not_force_threshold_defect():
     """Documented counterexample: a window defect at an exponent below the
     threshold does NOT imply the stratum membership (the claimed containment
