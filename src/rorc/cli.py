@@ -5,6 +5,10 @@ exhausted, 2 invalid arguments or configuration.  verify and witness take
 the seed from --seed, else the RORC_SEED environment variable, else 0; it
 must be >= 0, and no other command reads RORC_SEED.  JSON written with
 --json / --out is deterministic for a fixed invocation: it carries no timing.
+
+``main`` builds the argparse tree (``build_parser``) once per process, on its
+first call, and reuses it: each parse starts from a fresh namespace, and
+RORC_SEED is read per call.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .compositions import (
     Composition,
@@ -237,9 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "witness" and not args.pair:
             raise ConfigError("witness requires --pair i,j")
         return args.func(args)

@@ -14,6 +14,7 @@ orbit, and counting chain segments yields the maximal window ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .compositions import Composition, as_composition
 from .matrices import ExactMatrix
@@ -175,6 +176,12 @@ def max_window_rank(d, i: int, j: int, k: int) -> int:
     d.check_pair(i, j)
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
+    return _max_window_rank(d, i, j, min(k, j - i + 1))
+
+
+# bounded like strata._window_tables; a composition of t = 6 has at most 50 keys
+@lru_cache(maxsize=4096)
+def _max_window_rank(d: Composition, i: int, j: int, k: int) -> int:
     return sum(max(len(c) - k, 0) for c in window_chains(d, i, j))
 
 

@@ -10,11 +10,19 @@ rational ones.
 Rank over Q uses fraction-free (Bareiss) elimination on integer rows to avoid
 coefficient blow-up; rational entries are cleared row-wise first (row scaling
 preserves rank).  Rank over F_p delegates to the mod-p kernels.
+
+Validation happens once, at the public boundary: ``ExactMatrix(...)``,
+``from_triples``, ``from_json_dict``, ``zeros``, ``identity`` and
+``with_blocks`` check every entry, the field, the int64 bound of ``Fp:<p>``
+and the block sizes.  Matrices derived from an existing one (``window``,
+``block``, ``mul``, ``power``) have normalized rows by construction and are
+built by ``_derived`` without re-checking them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import mul
 
@@ -102,6 +110,17 @@ class ExactMatrix:
     def __setattr__(self, *_):
         raise AttributeError("ExactMatrix is immutable")
 
+    def _derived(self, rows: tuple[tuple, ...], blocks: Composition | None = None
+                 ) -> "ExactMatrix":
+        """A matrix over this one's field from rows already normalized for it
+        (tuples of int/Fraction over Q, of ints in [0, p) over F_p), with no
+        per-entry checks.  Only for rows derived from existing matrices."""
+        out = object.__new__(ExactMatrix)
+        for name, value in (("rows", rows), ("nrows", len(rows)), ("ncols", len(rows[0])),
+                            ("field", self.field), ("p", self.p), ("blocks", blocks)):
+            object.__setattr__(out, name, value)
+        return out
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -169,12 +188,11 @@ class ExactMatrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         if self.p is not None:
-            a = self.to_numpy()
-            b = other.to_numpy()
-            return ExactMatrix(_kernels.matmul_mod(a, b, self.p).tolist(), self.field)
+            prod = _kernels.matmul_mod(self.to_numpy(), other.to_numpy(), self.p)
+            return self._derived(tuple(map(tuple, prod.tolist())))
         cols = list(zip(*other.rows))
-        return ExactMatrix([[sum(map(mul, row, col)) for col in cols] for row in self.rows],
-                           self.field)
+        return self._derived(tuple(tuple(sum(map(mul, row, col)) for col in cols)
+                                   for row in self.rows))
 
     def power(self, k: int) -> "ExactMatrix":
         if k < 0:
@@ -210,14 +228,12 @@ class ExactMatrix:
         return conjugate(mults)
 
     def _integer_rows(self) -> list[list[int]]:
+        if set(map(type, chain.from_iterable(self.rows))) == {int}:
+            return [list(row) for row in self.rows]
         out = []
-        for row in self.rows:
-            if any(isinstance(v, Fraction) for v in row):
-                scale = lcm(*(v.denominator if isinstance(v, Fraction) else 1
-                              for v in row))
-                out.append([int(v * scale) for v in row])
-            else:
-                out.append(list(row))
+        for row in self.rows:   # Fractions (or bools): clear each row's denominators
+            scale = lcm(*(v.denominator for v in row))
+            out.append([int(v * scale) for v in row])
         return out
 
     def to_numpy(self) -> np.ndarray:
@@ -233,8 +249,7 @@ class ExactMatrix:
         if not (1 <= i <= d.t and 1 <= j <= d.t):
             raise ValueError(f"block ({i},{j}) out of range for t={d.t}")
         o = d.offsets
-        rows = [row[o[j - 1]: o[j]] for row in self.rows[o[i - 1]: o[i]]]
-        return ExactMatrix(rows, self.field)
+        return self._derived(tuple(row[o[j - 1]: o[j]] for row in self.rows[o[i - 1]: o[i]]))
 
     def window(self, d, i: int, j: int) -> "ExactMatrix":
         """Square principal submatrix spanning blocks i..j (1-based, inclusive)."""
@@ -244,8 +259,7 @@ class ExactMatrix:
         d.check_window(i, j)
         o = d.offsets
         lo, hi = o[i - 1], o[j]
-        rows = [row[lo:hi] for row in self.rows[lo:hi]]
-        return ExactMatrix(rows, self.field, blocks=d.window(i, j))
+        return self._derived(tuple(row[lo:hi] for row in self.rows[lo:hi]), d.window(i, j))
 
     # -- serialization -------------------------------------------------------
 

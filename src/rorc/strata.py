@@ -207,7 +207,9 @@ def window_tables(d) -> WindowTables:
     return _window_tables(as_composition(d))
 
 
-@lru_cache(maxsize=None)
+# bounded, so that a process serving many compositions (a witness round
+# visits about 80) does not grow with the number of calls
+@lru_cache(maxsize=128)
 def _window_tables(d: Composition) -> WindowTables:
     t = d.t
     o = d.offsets
@@ -363,6 +365,17 @@ def _walk_candidates(d: Composition, i: int, j: int, seed: int, budget: int):
         yield LineDiagram(d, frozenset(edges))
 
 
+def _screen_batch(chunk: list[LineDiagram], n: int) -> np.ndarray:
+    """The int64 matrices of the diagrams in ``chunk``, built straight from
+    their edges: entry (u-1, v-1) of matrix b is 1 for each edge (u, v) of
+    chunk[b], as in LineDiagram.to_matrix."""
+    mats = np.zeros((len(chunk), n, n), dtype=np.int64)
+    b, r, c = np.array([(k, u - 1, v - 1) for k, diag in enumerate(chunk)
+                        for u, v in diag.edges], dtype=np.int64).reshape(-1, 3).T
+    mats[b, r, c] = 1
+    return mats
+
+
 def separates(a: ExactMatrix, d, pair: tuple[int, int]) -> bool:
     """True when A lies in the stratum of ``pair`` and in the stratum of no
     other pair of lambda_pairs(d), by the exact predicate in_stratum."""
@@ -382,9 +395,10 @@ def witness(d, pair: tuple[int, int], seed: int = 0, budget: int = 100_000) -> E
 
     Two candidate phases, the deterministic diagram candidates and then
     ``budget`` trials of the seeded walk, are screened mod DEFAULT_PRIME in
-    chunks of _CHUNK, one rank table per chunk.  The first candidate in the
-    stratum of ``pair`` alone is certified over the rationals by
-    ``separates``.  Raises WitnessSearchError when both phases are exhausted.
+    chunks of _CHUNK, one rank table per chunk built from the candidates'
+    edges.  The first candidate in the stratum of ``pair`` alone becomes an
+    ExactMatrix and is certified over the rationals by ``separates``.
+    Raises WitnessSearchError when both phases are exhausted.
     """
     d = as_composition(d)
     i, j = pair
@@ -397,7 +411,7 @@ def witness(d, pair: tuple[int, int], seed: int = 0, budget: int = 100_000) -> E
     for candidates in (_diagram_candidates(d, i, j),
                        _walk_candidates(d, i, j, seed, budget)):
         while chunk := list(islice(candidates, _CHUNK)):
-            mats = np.stack([diag.to_matrix().to_numpy() for diag in chunk])
+            mats = _screen_batch(chunk, d.n)
             flags = defect_flags(rank_tables(mats, tab, DEFAULT_PRIME), tab)
             hits = np.flatnonzero((stratum_flags(flags, tab)[:, tab.lam] == want).all(axis=1))
             if hits.size:

@@ -30,7 +30,7 @@ from .compositions import (
     low_intermediates,
 )
 from .diagrams import complete_diagram, max_window_rank, vertex_id, window_chains
-from .matrices import DEFAULT_PRIME, ExactMatrix, _is_prime
+from .matrices import DEFAULT_PRIME, _is_prime
 from .strata import (
     WindowTables,
     defect_flags,
@@ -258,7 +258,8 @@ def _batches(cfg: ExperimentConfig, tab: WindowTables):
 
 def _record(violations: list, tag: str, mat: np.ndarray, q: int, **extra) -> None:
     if len(violations) < _VIOLATION_CAP:
-        matrix = ExactMatrix(mat, f"Fp:{q}").to_json_dict()
+        # populations are reduced mod q, within the int64 bound ExperimentConfig checks
+        matrix = {"n": len(mat), "field": f"Fp:{q}", "entries": mat.tolist()}
         violations.append({"kind": tag, "matrix": matrix, **extra})
 
 

@@ -325,3 +325,28 @@ def test_diagram_pair_is_a_window(capsys):
     assert run(capsys, "diagram", "-d", "2,1,2", "--pair", "2,2")[0] == 0
     assert run(capsys, "diagram", "-d", "2,1,2", "--pair", "3,4")[0] == 2
     assert run(capsys, "tableau", "-d", "2,1,2", "--pair", "2,2")[0] == 2
+
+
+def test_cached_parser_leaks_no_state_between_calls(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("RORC_SEED", raising=False)
+    verify = ("verify", "-d", "2,1,2", "--trials", "3", "--json")
+    _, out, _ = run(capsys, *verify, "--seed", "5")
+    assert json.loads(out)["config"]["seed"] == 5
+    monkeypatch.setenv("RORC_SEED", "7")
+    _, out, _ = run(capsys, *verify)
+    assert json.loads(out)["config"]["seed"] == 7
+
+    _, out, _ = run(capsys, *verify, "--checks", "counts")
+    assert [c["name"] for c in json.loads(out)["checks"]] == ["component_count"]
+    _, out, _ = run(capsys, *verify)
+    assert "lemma_below_threshold" in [c["name"] for c in json.loads(out)["checks"]]
+
+    witness = ("witness", "-d", "1,1,1,1,1", "--pair", "1,2")
+    matrix_path = tmp_path / "m.json"
+    assert run(capsys, *witness, "--json", "--out", str(matrix_path))[0] == 0
+    matrix_path.write_text(json.dumps(json.loads(matrix_path.read_text())["matrix"]))
+    code, out, _ = run(capsys, *witness, "--verify-matrix", str(matrix_path))
+    assert (code, out.strip()) == (0, "matrix separates stratum (1,2)")
+    code, out, _ = run(capsys, *witness)
+    assert code == 0
+    assert out.startswith("witness for stratum (1,2)")

@@ -465,3 +465,64 @@ def test_jordan_type_matches_sympy_jordan_form(parts):
         rows = [[Fraction(int(v), 2) for v in row] for row in m]
         a = ExactMatrix(rows)
         assert a.jordan_type() == _sympy_jordan_type(a)
+
+
+def _random_nilradical(rng: random.Random, d: Composition, field: str) -> ExactMatrix:
+    """A dense strictly upper block-triangular matrix; over Q a third of the
+    entries are Fractions, some of them with denominator 1."""
+    def value():
+        if field == "Q" and rng.random() < 1 / 3:
+            return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7]))
+        return rng.randint(-40, 40)
+
+    return ExactMatrix.from_triples(
+        d.n, [(r, c, value()) for r in range(d.n) for c in range(d.n)
+              if d.block_of[r] < d.block_of[c]], field, blocks=d)
+
+
+def _assert_as_validated(m: ExactMatrix):
+    """m agrees with the same rows rebuilt through the public constructor in
+    rows, entry types, field, modulus and block structure."""
+    ref = ExactMatrix(m.rows, m.field, m.blocks)
+    assert type(m.rows) is tuple and all(type(r) is tuple for r in m.rows)
+    assert m.rows == ref.rows
+    assert [[type(v) for v in r] for r in m.rows] == [[type(v) for v in r] for r in ref.rows]
+    assert (m.nrows, m.ncols, m.field, m.p, m.blocks) == (
+        ref.nrows, ref.ncols, ref.field, ref.p, ref.blocks)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:7", "Fp:32003"])
+def test_derived_matrices_match_the_validating_constructor(field):
+    rng = random.Random(field)
+    for _ in range(6):
+        d = Composition.of(*(rng.randint(1, 3) for _ in range(rng.randint(2, 5))))
+        a = _random_nilradical(rng, d, field)
+        b = _random_nilradical(rng, d, field)
+        if field == "Q":
+            assert any(type(v) is Fraction for r in a.rows for v in r)
+        o = d.offsets
+        for i in range(1, d.t + 1):
+            for j in range(i, d.t + 1):
+                w = a.window(d, i, j)
+                _assert_as_validated(w)
+                assert w.blocks == d.window(i, j)
+                assert w.rows == ExactMatrix(
+                    [r[o[i - 1]:o[j]] for r in a.rows[o[i - 1]:o[j]]], field).rows
+            for j in range(1, d.t + 1):
+                blk = a.block(d, i, j)
+                _assert_as_validated(blk)
+                assert blk.blocks is None
+        prod = a.mul(b)
+        _assert_as_validated(prod)
+        expected = [[sum(x * y for x, y in zip(r, c)) for c in zip(*b.rows)] for r in a.rows]
+        assert prod == ExactMatrix(expected, field)
+        for k in range(1, d.t + 1):
+            _assert_as_validated(a.power(k))
+        assert a.power(d.t).is_zero()
+
+
+def test_rank_over_q_clears_denominators_of_mixed_rows():
+    rows = [[True, Fraction(1, 2), 3], [False, Fraction(3, 4), Fraction(5, 1)],
+            [True, Fraction(5, 4), 8]]
+    assert ExactMatrix(rows).rank() == rank_by_fractions(rows) == 2
+    assert ExactMatrix([[True, False], [False, True]]).rank() == 2

@@ -32,6 +32,7 @@ from rorc import (
 )
 from rorc.diagrams import LineDiagram, complete_diagram
 from rorc.strata import defect_flags, rank_tables, stratum_flags, window_tables
+from rorc.strata import _diagram_candidates, _screen_batch, _walk_candidates
 
 RUNNING = Composition.of(7, 5, 2, 3, 5, 1, 2, 6, 5)
 
@@ -424,3 +425,60 @@ def test_low_power_defect_does_not_force_threshold_defect():
     assert (1, 3) in lambda_pairs(d)
     assert in_stratum(a, d, 2, 3)
     assert (2, 3) in lambda_pairs(d)
+
+
+def test_exact_predicates_build_no_validated_matrix(monkeypatch):
+    """Windows, powers and products of a witness are derived, not re-checked:
+    defect_profile and separates run without ExactMatrix.__init__."""
+    a = witness(RUNNING, (3, 7))
+    calls = 0
+    init = ExactMatrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExactMatrix, "__init__", counting_init)
+    assert defect_profile(a, RUNNING)
+    assert separates(a, RUNNING, (3, 7))
+    assert calls == 0
+
+
+def test_witness_builds_only_the_accepted_matrix(monkeypatch):
+    to_matrix = LineDiagram.to_matrix
+    calls = 0
+
+    def counting_to_matrix(self):
+        nonlocal calls
+        calls += 1
+        return to_matrix(self)
+
+    monkeypatch.setattr(LineDiagram, "to_matrix", counting_to_matrix)
+    for pair in sorted(lambda_pairs(RUNNING)):
+        calls = 0
+        witness(RUNNING, pair)
+        assert calls == 1
+    calls = 0
+    witness(Composition.of(2, 1, 1, 1, 2), (2, 3))   # found by the walk phase
+    assert calls == 1
+
+
+def _to_matrix_batch(chunk):
+    return np.stack([g.to_matrix().to_numpy() for g in chunk])
+
+
+def test_screen_batch_matches_diagram_matrices():
+    for pair in sorted(lambda_pairs(RUNNING)):
+        chunk = list(_diagram_candidates(RUNNING, *pair))
+        assert np.array_equal(_screen_batch(chunk, RUNNING.n), _to_matrix_batch(chunk))
+    walk = list(_walk_candidates(RUNNING, 3, 7, seed=11, budget=200))
+    assert len(walk) == 200
+    for s in range(0, 200, 64):
+        chunk = walk[s:s + 64]
+        batch = _screen_batch(chunk, RUNNING.n)
+        assert batch.dtype == np.int64
+        assert np.array_equal(batch, _to_matrix_batch(chunk))
+    empty = [LineDiagram(Composition.of(2, 1, 2))]
+    assert np.array_equal(_screen_batch(empty, 5), np.zeros((1, 5, 5), dtype=np.int64))
+    assert np.array_equal(_screen_batch(empty, 5), _to_matrix_batch(empty))
