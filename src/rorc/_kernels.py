@@ -11,10 +11,15 @@ nonzero entry and only ever adds a row to rows below it.  So it keeps the
 rank of every leading submatrix, and that rank is the number of pivots inside
 it (the rank profile matrix; Dumas-Pernet-Sultan, J. Symbolic Comput. 2017).
 ``window_rank_table`` uses this to rank every window of one power of A with a
-single elimination.
+single elimination.  The loop optionally takes a per-column first row, and
+``window_rank_table`` derives one from the block pattern of A^k, so the rows
+the pattern keeps zero are neither searched nor updated; ``rank_mod`` passes
+none.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +28,7 @@ import numpy as np
 _SLICE = 256
 
 
-def _eliminate(m: np.ndarray, p: int) -> np.ndarray:
+def _eliminate(m: np.ndarray, p: int, first=None) -> np.ndarray:
     """Pivot rows of a batch ``(B, r, c)`` reduced mod p, eliminated in place.
 
     Returns ``(B, c)`` with the pivot row of each column, or r where the
@@ -31,23 +36,31 @@ def _eliminate(m: np.ndarray, p: int) -> np.ndarray:
     updates the live columns in place; a member without a pivot in the
     current column is left unchanged.  Free rows above the pivot are zero in
     its column, so only rows below it change by more than a nonzero scale.
+
+    ``first``, when given, is a nonincreasing per-column row bound: rows above
+    ``first[col]`` are zero in column ``col`` and in every earlier column.  The
+    step for ``col`` then searches and updates only rows ``first[col]:``.  The
+    rows it skips are zero up to ``col`` and were skipped by every earlier
+    step, so skipping them differs from the full step by a nonzero row scale:
+    the pivots are the same.
     """
     nb, nr, nc = m.shape
     members = np.arange(nb)
     free = np.ones((nb, nr), dtype=bool)
     pivots = np.full((nb, nc), nr, dtype=np.int64)
-    for col in range(nc):
-        cand = free & (m[:, :, col] != 0)
+    for col, top in enumerate([0] * nc if first is None else first):
+        rows, rfree = m[:, top:], free[:, top:]
+        cand = rfree & (rows[:, :, col] != 0)
         has = cand.any(1)
         if not has.any():
             continue
         piv = cand.argmax(1)
-        pivots[:, col] = np.where(has, piv, nr)
-        pivot_row = m[members, piv, col + 1:]
-        pv = np.where(has, m[members, piv, col], 1)
-        free[members, piv] &= ~has
-        f = np.where(free, m[:, :, col], 0)
-        live = m[:, :, col + 1:]
+        pivots[:, col] = np.where(has, piv + top, nr)
+        pivot_row = rows[members, piv, col + 1:]
+        pv = np.where(has, rows[members, piv, col], 1)
+        rfree[members, piv] &= ~has
+        f = np.where(rfree, rows[:, :, col], 0)
+        live = rows[:, :, col + 1:]
         live *= pv[:, None, None]
         live -= f[:, :, None] * pivot_row[:, None, :]
         live %= p
@@ -75,21 +88,62 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a @ b) % p
 
 
-def _leading_ranks(m: np.ndarray, nrows: np.ndarray, ncols: np.ndarray, p: int) -> np.ndarray:
+def _leading_ranks(m: np.ndarray, nrows: np.ndarray, ncols: np.ndarray,
+                   first: list[int], p: int) -> np.ndarray:
     """Ranks ``(B, q)`` of the leading ``nrows[q] x ncols[q]`` submatrices of
-    a batch ``m``, all from one elimination (over the transpose when wide):
+    a batch ``m``, all from one elimination under the row bound ``first``:
     each is the number of pivots inside it, read off a 2-D cumsum of the
     pivot indicator.  ``m`` is left unchanged."""
-    if m.shape[1] < m.shape[2]:
-        m, nrows, ncols = m.transpose(0, 2, 1), ncols, nrows
     m = m.copy()
     nb, nr, nc = m.shape
-    pivots = _eliminate(m, p)
+    pivots = _eliminate(m, p, first)
     # row nr of the indicator takes the columns without a pivot
     indicator = np.zeros((nb, nr + 1, nc), dtype=np.int64)
     indicator[np.arange(nb)[:, None], pivots, np.arange(nc)] = 1
     inside = indicator[:, :nr].cumsum(1).cumsum(2)
     return inside[:, nrows - 1, ncols - 1]
+
+
+def _corner_bound(o: tuple[int, ...], k: int) -> tuple[bool, list[int]]:
+    """How the flipped corner C_k[::-1] of A^k is eliminated: whether it is
+    transposed (it is wide), and the first row each column can be nonzero in.
+
+    An entry of C_k = A^k[:o_(t-k), o_k:] is nonzero only when its column
+    block is at least its row block + k.  The mask is flipped and transposed
+    with the corner; the running minimum keeps the bound nonincreasing, so
+    rows that an earlier step filled stay in.
+    """
+    t = len(o) - 1
+    block = np.repeat(np.arange(t), np.diff(o))
+    support = block[None, o[k]:] >= block[:o[t - k], None][::-1] + k
+    wide = support.shape[0] < support.shape[1]
+    if wide:
+        support = support.T
+    first = np.where(support.any(0), support.argmax(0), support.shape[0])
+    return wide, np.minimum.accumulate(first).tolist()
+
+
+@lru_cache(maxsize=128)
+def _plan(o: tuple[int, ...], pairs: tuple[tuple[int, int], ...]):
+    """The fixed part of ``window_rank_table`` for one block pattern: the
+    mask of entries outside the nilradical, and per power k the pairs it
+    ranks, their leading submatrices in the row-flipped corner C_k[::-1]
+    (o_(t-k) rows), transposed when it is wide, and the row bound of its
+    elimination.  Bounded like the window tables it serves."""
+    t = len(o) - 1
+    block = np.repeat(np.arange(t), np.diff(o))
+    queries = []
+    for k in range(1, t):
+        ranked = [(pi, i, j) for pi, (i, j) in enumerate(pairs) if j - i >= k]
+        if not ranked:
+            break
+        nrows = np.array([o[t - k] - o[i - 1] for _, i, _ in ranked])
+        ncols = np.array([o[j] - o[k] for _, _, j in ranked])
+        wide, first = _corner_bound(o, k)
+        if wide:
+            nrows, ncols = ncols, nrows
+        queries.append((k, [pi for pi, _, _ in ranked], nrows, ncols, wide, first))
+    return block[:, None] >= block[None, :], tuple(queries)
 
 
 def window_rank_table(mats, offsets, pairs, p):
@@ -105,42 +159,37 @@ def window_rank_table(mats, offsets, pairs, p):
     of the bottom-left submatrix A^k[o_(i-1):, :o_j].  Flipping the rows makes
     every such submatrix a leading one, so one elimination of A^k ranks all
     windows at power k (see ``_leading_ranks``).  Only the nonzero corner
-    C_k = A^k[:o_(t-k), o_k:] is eliminated, and each corner is formed from
-    the last one:
+    C_k = A^k[:o_(t-k), o_k:] is eliminated (over its transpose when wide),
+    and each corner is formed from the last one:
 
         C_(k+1) = A^k[:o_(t-k-1), o_k:o_(t-1)] @ A[o_k:o_(t-1), o_(k+1):].
 
-    Slices of _SLICE matrices hold one corner at a time.
+    The same block pattern bounds the elimination: the rows of each column
+    that the pattern keeps zero are neither searched nor updated, a bound
+    derived once per power from the offsets (``_corner_bound``).  Slices of
+    _SLICE matrices hold one corner at a time.
     """
     mats = np.asarray(mats, dtype=np.int64)
     o = tuple(int(v) for v in offsets)
     t = len(o) - 1
     kmax = t - 1
-    block = np.repeat(np.arange(t), np.diff(o))
-    outside = block[:, None] >= block[None, :]
-    # per power k: the pairs it ranks, and their leading submatrices in the
-    # row-flipped corner C_k[::-1], which has o_(t-k) rows
-    queries = []
-    for k in range(1, kmax + 1):
-        ranked = [(pi, i, j) for pi, (i, j) in enumerate(pairs) if j - i >= k]
-        if not ranked:
-            break
-        queries.append((k, [pi for pi, _, _ in ranked],
-                        np.array([o[t - k] - o[i - 1] for _, i, _ in ranked]),
-                        np.array([o[j] - o[k] for _, _, j in ranked])))
+    outside, queries = _plan(o, tuple(tuple(pq) for pq in pairs))
     nb = mats.shape[0]
     table = np.full((nb, len(pairs), kmax), -1, dtype=np.int64)
-    for first in range(0, nb, _SLICE):
-        a = mats[first:first + _SLICE] % p
+    for start in range(0, nb, _SLICE):
+        a = mats[start:start + _SLICE] % p
         if a[:, outside].any():
             raise ValueError("matrix entry outside the strictly upper block pattern")
-        rows = table[first:first + _SLICE]
+        rows = table[start:start + _SLICE]
         corner = a[:, :o[t - 1], o[1]:]
-        for k, pis, nrows, ncols in queries:
+        for k, pis, nrows, ncols, wide, first in queries:
             if k > 1:
                 corner = matmul_mod(corner[:, :o[t - k], :o[t - 1] - o[k - 1]],
                                     a[:, o[k - 1]:o[t - 1], o[k]:], p)
-            rows[:, pis, k - 1] = _leading_ranks(corner[:, ::-1], nrows, ncols, p)
+            flipped = corner[:, ::-1]
+            if wide:
+                flipped = flipped.transpose(0, 2, 1)
+            rows[:, pis, k - 1] = _leading_ranks(flipped, nrows, ncols, first, p)
     return table
 
 

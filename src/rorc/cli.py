@@ -56,6 +56,34 @@ def _default_seed() -> int:
         raise ConfigError(f"RORC_SEED must be an integer, got {raw!r}") from None
 
 
+def _dumps(obj, nl: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, without the pure-Python
+    encoder that ``indent`` forces.  Ints and lists of ints are joined here;
+    every other scalar and every key goes through ``json.dumps``, and a dict
+    with a non-str key through ``json.dumps(obj, indent=2)``.  ``nl`` is the
+    newline plus the indent of the current level."""
+    if type(obj) is int:
+        return str(obj)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(v) is int for v in obj):
+            items = map(str, obj)
+        else:
+            items = (_dumps(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(type(k) is str for k in obj):
+            # json escapes every newline inside a string, so each one is structure
+            return json.dumps(obj, indent=2).replace("\n", nl)
+        return "{" + inner + ("," + inner).join(
+            json.dumps(k) + ": " + _dumps(v, inner) for k, v in obj.items()) + nl + "}"
+    return json.dumps(obj)
+
+
 def _emit(payload: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -72,7 +100,7 @@ def _cmd_analyze(args) -> int:
     d = _parse_d(args.d)
     dec = decompose(d)
     if args.json:
-        _emit(json.dumps(dec.to_json_dict(), indent=2), args.out)
+        _emit(_dumps(dec.to_json_dict()), args.out)
         return 0
     lines = [
         f"d = {d}   n = {d.n}   t = {d.t}",
@@ -106,7 +134,7 @@ def _cmd_diagram(args) -> int:
             "edges": sorted(list(e) for e in diagram.edges),
             "chain_lengths": list(chain_lengths(diagram)),
         }
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(_dumps(payload), args.out)
         return 0
     text = f"{label}\n{render_ascii(diagram)}\nchain lengths: {chain_lengths(diagram)}"
     _emit(text, args.out)
@@ -137,7 +165,7 @@ def _cmd_verify(args) -> int:
     )
     report = run_checks(cfg, [c.strip() for c in args.checks.split(",") if c.strip()])
     if args.json or args.out:
-        _emit(json.dumps(report.to_json_dict(), indent=2), args.out)
+        _emit(_dumps(report.to_json_dict()), args.out)
     if not args.json:
         print(f"d = {d}: components = {report.components}")
         for c in report.checks:
@@ -182,7 +210,7 @@ def _cmd_witness(args) -> int:
             "matrix": a.to_json_dict(),
             "defect_profile": [list(v) for v in profile],
         }
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(_dumps(payload), args.out)
     else:
         _emit(
             f"witness for stratum ({i},{j}) of d = {d}\n{a.pretty()}\n"

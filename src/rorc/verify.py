@@ -163,38 +163,41 @@ def _exhaustive_batches(cfg: ExperimentConfig, tab: WindowTables):
         first += count
 
 
-def _uniform(rng: np.random.Generator, trials: int, cfg: ExperimentConfig,
-             tab: WindowTables) -> np.ndarray:
-    """Uniform nilradical matrices over F_p, trials x n x n."""
-    mats = np.zeros((trials, cfg.d.n, cfg.d.n), dtype=np.int64)
-    vals = rng.integers(0, cfg.fieldsize, size=(trials, tab.positions.shape[0]))
-    mats[:, tab.positions[:, 0], tab.positions[:, 1]] = vals
-    return mats
+def _uniform(rng: np.random.Generator, cfg: ExperimentConfig, tab: WindowTables,
+             out: np.ndarray) -> np.ndarray:
+    """Uniform nilradical matrices over F_p, written into ``out`` (zeroed,
+    trials x n x n), which is returned."""
+    vals = rng.integers(0, cfg.fieldsize, size=(out.shape[0], tab.positions.shape[0]))
+    out[:, tab.positions[:, 0], tab.positions[:, 1]] = vals
+    return out
 
 
-def _generic_sample(cfg: ExperimentConfig, tab: WindowTables) -> np.ndarray:
-    return _uniform(seeded_stream(cfg.seed, 0), cfg.trials, cfg, tab)
+def _generic_sample(cfg: ExperimentConfig, tab: WindowTables, out=None) -> np.ndarray:
+    """The generic sample, into ``out`` when one is given."""
+    if out is None:
+        out = np.zeros((cfg.trials, cfg.d.n, cfg.d.n), dtype=np.int64)
+    return _uniform(seeded_stream(cfg.seed, 0), cfg, tab, out)
 
 
-def _forced_sample(cfg: ExperimentConfig, tab: WindowTables):
+def _forced_sample(cfg: ExperimentConfig, tab: WindowTables, out: np.ndarray) -> np.ndarray:
     """Defective matrices: pick a window and power, break one edge of a
     contributing chain of the complete window diagram, keep the window
     supported on the broken diagram (which pins the rank below the maximum
     for any entry values), randomize everything outside the window.
 
-    Returns (matrices, forced) where forced[b] = (pair_index, k).  Without a
-    window (t = 1) nothing can be forced and the sample is empty.
+    Writes one trial per row of the zeroed ``out`` and returns forced, where
+    forced[b] = (pair_index, k).  Without a window (t = 1) nothing can be
+    forced, and ``out`` must be empty.
     """
     d = cfg.d
     rng = seeded_stream(cfg.seed, 1)
     p = cfg.fieldsize
     o = d.offsets
     base_edges = sorted(complete_diagram(d).edges)
-    trials = cfg.trials if tab.pairs else 0
     # start from fully random nilradical matrices, then carve out each window
-    mats = _uniform(rng, trials, cfg, tab)
+    mats = _uniform(rng, cfg, tab, out)
     forced = []
-    for b in range(trials):
+    for b in range(mats.shape[0]):
         pi = int(rng.integers(len(tab.pairs)))
         i, j = tab.pairs[pi]
         k = int(rng.integers(1, j - i + 1))
@@ -209,11 +212,11 @@ def _forced_sample(cfg: ExperimentConfig, tab: WindowTables):
             if lo < u <= hi and lo < v <= hi and (u, v) != removed:
                 mats[b, u - 1, v - 1] = int(rng.integers(0, p))
         forced.append((pi, k))
-    return mats, np.array(forced, dtype=np.int64).reshape(-1, 2)
+    return np.array(forced, dtype=np.int64).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------
-# one pass: populations -> one rank table per batch -> reducers
+# one pass: populations -> one rank table per array -> reducers
 
 class _Batch(NamedTuple):
     """One ranked batch of a population and the flags every reducer reads."""
@@ -231,29 +234,42 @@ class _Batch(NamedTuple):
 
 
 def _populations(cfg: ExperimentConfig, tab: WindowTables):
-    """Yield (population, first_index, matrices, forced) in scan order."""
+    """Yield (matrices, parts) in scan order: one array to rank, and the
+    populations it holds as (population, first_index, rows, forced).
+
+    Exhaustive mode yields each decode batch alone.  Sample mode yields one
+    array whose first cfg.trials rows are the generic sample and whose other
+    rows are the forced sample (cfg.trials of them, none when t = 1).  Each
+    sample is drawn in place, from its own stream and in the order it has
+    when drawn alone, so one rank pass serves both.
+    """
     if cfg.mode == "exhaustive":
         for first, mats in _exhaustive_batches(cfg, tab):
-            yield "exhaustive", first, mats, None
+            yield mats, (("exhaustive", first, slice(None), None),)
     else:
-        yield "generic", 0, _generic_sample(cfg, tab), None
-        yield "forced", 0, *_forced_sample(cfg, tab)
+        n, trials = cfg.d.n, cfg.trials
+        mats = np.zeros((trials + (trials if tab.pairs else 0), n, n), dtype=np.int64)
+        _generic_sample(cfg, tab, mats[:trials])
+        forced = _forced_sample(cfg, tab, mats[trials:])
+        yield mats, (("generic", 0, slice(0, trials), None),
+                     ("forced", 0, slice(trials, None), forced))
 
 
 def _batches(cfg: ExperimentConfig, tab: WindowTables):
-    """Rank each population batch once and derive its flags."""
+    """Rank each population array in one pass, derive its flags, and yield
+    one batch of views per population it holds."""
     full = slice(tab.full_index, tab.full_index + 1)    # empty when t = 1
-    for population, first, mats, forced in _populations(cfg, tab):
+    for mats, parts in _populations(cfg, tab):
         ranks = rank_tables(mats, tab, cfg.fieldsize)
         defects = defect_flags(ranks, tab)
         stratum = stratum_flags(defects, tab)
-        yield _Batch(
-            population, first, mats, forced, defects, stratum,
-            covered=stratum[:, tab.lam].any(axis=1),
-            richardson=~defects[:, full].any(axis=(1, 2)),
-            defective=defects.any(axis=(1, 2)),
-            excess=((tab.thresholds >= 0) & (ranks > tab.thresholds)).any(axis=(1, 2)),
-        )
+        covered = stratum[:, tab.lam].any(axis=1)
+        richardson = ~defects[:, full].any(axis=(1, 2))
+        defective = defects.any(axis=(1, 2))
+        excess = ((tab.thresholds >= 0) & (ranks > tab.thresholds)).any(axis=(1, 2))
+        for population, first, rows, forced in parts:
+            yield _Batch(population, first, mats[rows], forced, defects[rows], stratum[rows],
+                         covered[rows], richardson[rows], defective[rows], excess[rows])
 
 
 def _record(violations: list, tag: str, mat: np.ndarray, q: int, **extra) -> None:

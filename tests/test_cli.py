@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rorc.cli import main
+from rorc.cli import _dumps, main
 
 
 def run(capsys, *argv):
@@ -350,3 +352,36 @@ def test_cached_parser_leaks_no_state_between_calls(capsys, monkeypatch, tmp_pat
     code, out, _ = run(capsys, *witness)
     assert code == 0
     assert out.startswith("witness for stratum (1,2)")
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.integers(),
+    st.integers(-(2 ** 200), 2 ** 200), st.floats(), st.text(),
+    st.sampled_from(["", "\"", "\\", "\n\t\x00\x1f", "é", "\u2603", "\U0001f600", "\ud800"]))
+_NON_STR_KEYS = st.one_of(st.integers(), st.booleans(), st.none(), st.floats())
+_JSON_LIKE = st.recursive(
+    st.one_of(_SCALARS, st.lists(st.integers()), st.lists(st.integers()).map(tuple)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+        st.dictionaries(_NON_STR_KEYS, children, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(obj=_JSON_LIKE)
+def test_dumps_matches_json_indent_2(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_dumps_matches_json_on_the_running_example_report(tmp_path):
+    # every indent-2 site of the CLI writes through _dumps; the goldens pin
+    # the bytes of the small reports, this one the largest
+    out = tmp_path / "report.json"
+    main(["verify", "-d", "7,5,2,3,5,1,2,6,5", "--field", "32003", "--trials", "20",
+          "--json", "--out", str(out)])
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"

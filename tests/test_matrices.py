@@ -390,6 +390,43 @@ def test_pivots_count_the_rank_of_every_leading_submatrix(data, p, count, r, c):
             assert inside.tolist() == _kernels.rank_mod(mats[:, :rows, :cols], p).tolist()
 
 
+@pytest.mark.parametrize("parts, wide", [
+    ((1, 4), True), ((1, 1, 5), True), ((4, 1), False),
+    ((7, 5, 2, 3, 5, 1, 2, 6, 5), False)])
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_row_bound_keeps_the_pivots_of_every_corner(parts, wide, p):
+    """Under the row bound window_rank_table derives for power k, the one
+    elimination loop finds the pivots it finds without a bound, on tall
+    corners and on wide (transposed) ones."""
+    from rorc.strata import window_tables
+
+    rng = np.random.default_rng(107 + p)
+    d = Composition.of(*parts)
+    tab = window_tables(d)
+    o, t = tuple(int(v) for v in tab.offsets), d.t
+    mats = _nilradical_batch(rng, d, tab, 24, p)
+    mats[1::4] *= rng.random(mats[1::4].shape) < 0.1    # sparse
+    mats[2] = 0
+    mats[6, 0] = 0           # a zero row: rank-deficient
+    power = mats
+    for k in range(1, t):
+        if k > 1:
+            power = _kernels.matmul_mod(power, mats, p)
+        corner = power[:, :o[t - k], o[k]:][:, ::-1]
+        is_wide, first = _kernels._corner_bound(o, k)
+        assert is_wide == (wide if k == 1 else corner.shape[1] < corner.shape[2])
+        if is_wide:
+            corner = corner.transpose(0, 2, 1)
+        nr, nc = corner.shape[1:]
+        assert len(first) == nc and first == sorted(first, reverse=True)
+        # the rows above the bound are zero in their column
+        assert not corner[:, np.arange(nr)[:, None] < np.array(first)].any()
+        free = _kernels._eliminate(corner.copy(), p)
+        bounded = _kernels._eliminate(corner.copy(), p, first)
+        assert np.array_equal(bounded, free)
+        assert ((bounded < nr).sum(1) == _kernels.rank_mod(corner, p)).all()
+
+
 def _exact_window_table(mats, d, pairs, kmax, p):
     out = np.full((len(mats), len(pairs), kmax), -1, dtype=np.int64)
     for b, m in enumerate(mats):
@@ -467,7 +504,7 @@ def test_jordan_type_matches_sympy_jordan_form(parts):
         assert a.jordan_type() == _sympy_jordan_type(a)
 
 
-def _random_nilradical(rng: random.Random, d: Composition, field: str) -> ExactMatrix:
+def _dense_nilradical(rng: random.Random, d: Composition, field: str) -> ExactMatrix:
     """A dense strictly upper block-triangular matrix; over Q a third of the
     entries are Fractions, some of them with denominator 1."""
     def value():
@@ -496,8 +533,8 @@ def test_derived_matrices_match_the_validating_constructor(field):
     rng = random.Random(field)
     for _ in range(6):
         d = Composition.of(*(rng.randint(1, 3) for _ in range(rng.randint(2, 5))))
-        a = _random_nilradical(rng, d, field)
-        b = _random_nilradical(rng, d, field)
+        a = _dense_nilradical(rng, d, field)
+        b = _dense_nilradical(rng, d, field)
         if field == "Q":
             assert any(type(v) is Fraction for r in a.rows for v in r)
         o = d.offsets

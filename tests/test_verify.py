@@ -215,6 +215,36 @@ def test_generic_sample_is_prefix_stable():
     assert np.array_equal(short, long[:5])
 
 
+def test_sampled_run_ranks_its_population_in_one_pass(monkeypatch):
+    # the generic and forced samples are drawn into one array and ranked by
+    # one rank_tables call; an exhaustive scan makes one per decode batch
+    import rorc.verify as verify
+
+    real, calls = verify.rank_tables, []
+
+    def counting(mats, tab, p):
+        calls.append(mats.shape[0])
+        return real(mats, tab, p)
+
+    monkeypatch.setattr(verify, "rank_tables", counting)
+    d = Composition.of(2, 1, 2, 1, 2)
+    cfg = ExperimentConfig(d=d, fieldsize=32003, trials=30, seed=3)
+    run_checks(cfg, ("theorem", "lemmas"))
+    assert calls == [60]
+    generic, forced = _batches(cfg, window_tables(d))
+    assert calls[1:] == [60]
+    assert generic.mats.base is not None and generic.mats.base is forced.mats.base
+    assert np.array_equal(generic.mats, _generic_sample(cfg, window_tables(d)))
+    assert (generic.population, forced.population) == ("generic", "forced")
+    assert len(forced.mats) == len(forced.forced) == 30
+    calls.clear()
+    run_checks(ExperimentConfig(d=(3,), fieldsize=5, trials=7), ("theorem",))
+    assert calls == [7]     # t = 1: no window, an empty forced sample
+    calls.clear()
+    run_checks(ExperimentConfig(d=(2, 2, 1), mode="exhaustive", fieldsize=3), ("theorem",))
+    assert calls == [4096, 3 ** 8 - 4096]
+
+
 def test_config_coerces_plain_tuples():
     cfg = ExperimentConfig(d=(2, 1, 2), mode="exhaustive", fieldsize=2)
     assert cfg.d == Composition.of(2, 1, 2)
