@@ -19,7 +19,6 @@ from .diagrams import (
     chain_lengths,
     complete_diagram,
     diagram_partition,
-    long_chain_count,
     max_window_rank,
     richardson_element,
     render_ascii,

@@ -185,20 +185,6 @@ def _max_window_rank(d: Composition, i: int, j: int, k: int) -> int:
     return sum(max(len(c) - k, 0) for c in window_chains(d, i, j))
 
 
-def long_chain_count(d, i: int, j: int, k: int) -> int:
-    """Number of chains with at least k edges in the complete window diagram.
-
-    Exposed for inspection alongside max_window_rank: the two counts agree for
-    k at the window's threshold exponent but differ in general (a chain of
-    length c carries c-k+1 independent k-step segments, not one).
-    """
-    d = as_composition(d)
-    d.check_pair(i, j)
-    if k < 1:
-        raise ValueError(f"power must be >= 1, got {k}")
-    return sum(1 for c in window_chains(d, i, j) if len(c) > k)
-
-
 def render_ascii(diagram: LineDiagram) -> str:
     """Deterministic text rendering: columns as 'o', same-height edges drawn
     as horizontal lines (spanning columns with no vertex at that height);

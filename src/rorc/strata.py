@@ -10,15 +10,16 @@ lambda_pairs(d) are exactly the irreducible components of the complement.
 
 Everything here is exact: predicates on rational matrices use fraction-free
 elimination, predicates on prime-field matrices use modular elimination.
-The witness search runs its candidate screening mod p and certifies the
-result over the rationals.
+The membership predicates read one exact defect table per matrix through
+the screen's defect_flags and stratum_flags.  The witness search screens its
+candidates, edge sets, mod p and certifies the accepted one over the rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice, repeat
 
 import numpy as np
 
@@ -81,16 +82,16 @@ def rank_defect(a: ExactMatrix, d, i: int, j: int, k: int) -> bool:
     d.check_pair(i, j)
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
-    _require_nilradical(a, d)
-    if k > j - i:
-        return False
-    thr = max_window_rank(d, i, j, k)
-    return a.window(d, i, j).power(k).rank() < thr
+    flags = _exact_defects(a, d)
+    return k <= j - i and bool(flags[window_tables(d).pairs.index((i, j)), k - 1])
 
 
 def in_stratum(a: ExactMatrix, d, i: int, j: int) -> bool:
     """Membership in the stratum of (i, j): the defect at exponent kappa(i, j)."""
-    return rank_defect(a, d, i, j, kappa(d, i, j))
+    d = as_composition(d)
+    d.check_pair(i, j)
+    tab = window_tables(d)
+    return bool(stratum_flags(_exact_defects(a, d), tab)[tab.pairs.index((i, j))])
 
 
 def is_richardson(a: ExactMatrix, d) -> bool:
@@ -102,21 +103,29 @@ def is_richardson(a: ExactMatrix, d) -> bool:
 
 
 def defect_profile(a: ExactMatrix, d) -> list[tuple[int, int, int]]:
-    """All (i, j, k) with k <= j - i where A is rank-defective.
-
-    Empty exactly when A is of generic Jordan type.  The window (i, j) of
-    A^k is the k-th power of the window of A, so the t - 2 products
-    A^2, ..., A^(t-1) serve every window.
-    """
+    """All (i, j, k) with k <= j - i where A is rank-defective, in (i, j, k)
+    order.  Empty exactly when A is of generic Jordan type."""
     d = as_composition(d)
+    pairs = window_tables(d).pairs
+    return [(*pairs[pi], int(k) + 1) for pi, k in zip(*np.nonzero(_exact_defects(a, d)))]
+
+
+# The exact defect flags of A, read-only, in the (P, kmax) layout of
+# rank_tables.  The window (i, j) of A^k is the k-th power of the window of A,
+# so the t - 2 products A^2, ..., A^(t-1) serve every window.  ``rorc witness``
+# reads each table twice, for the certificate in ``separates`` and for the
+# report's ``defect_profile``; a small bound serves that and keeps no more.
+@lru_cache(maxsize=8)
+def _exact_defects(a: ExactMatrix, d: Composition) -> np.ndarray:
     _require_nilradical(a, d)
-    powers = [a]
-    for _ in range(2, d.t):
-        powers.append(powers[-1].mul(a))
-    return [(i, j, k)
-            for i in range(1, d.t) for j in range(i + 1, d.t + 1)
-            for k in range(1, j - i + 1)
-            if powers[k - 1].window(d, i, j).rank() < max_window_rank(d, i, j, k)]
+    tab = window_tables(d)
+    powers = list(accumulate(repeat(a, d.t - 1), ExactMatrix.mul))
+    ranks = np.full((len(tab.pairs), tab.kmax), -1, dtype=np.int64)
+    for pi, (i, j) in enumerate(tab.pairs):
+        ranks[pi, :j - i] = [powers[k].window(d, i, j).rank() for k in range(j - i)]
+    flags = defect_flags(ranks, tab)
+    flags.flags.writeable = False
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +280,8 @@ def defect_flags(ranks: np.ndarray, tab: WindowTables) -> np.ndarray:
 
 
 def stratum_flags(defects: np.ndarray, tab: WindowTables) -> np.ndarray:
-    """Stratum membership (B, P) read off defect flags: the defect at kappa."""
-    return defects[:, np.arange(len(tab.pairs)), tab.kappas - 1]
+    """Stratum membership (..., P) read off defect flags: the defect at kappa."""
+    return defects[..., np.arange(len(tab.pairs)), tab.kappas - 1]
 
 
 def seeded_stream(seed: int, key: int) -> np.random.Generator:
@@ -297,58 +306,57 @@ def _segment_edges(d: Composition, i: int, j: int) -> list[tuple[int, tuple[int,
     return out
 
 
-def _reattachment_options(diagram: LineDiagram, u: int, v: int, height: int):
+def _reattachment_options(d: Composition, edges: frozenset, u: int, v: int, height: int):
     """Edges reconnecting the loose ends u (needs a right partner) and v
     (needs a left partner) to vertices on strictly deeper rows."""
-    has_right = {a for a, _ in diagram.edges}
-    has_left = {b for _, b in diagram.edges}
+    blk, o = d.block_of, d.offsets
+    has_right = {a for a, _ in edges}
+    has_left = {b for _, b in edges}
     left_fixes = [None]
     right_fixes = [None]
-    for w in range(1, diagram.n + 1):
-        if diagram.vertex_height(w) <= height:
+    for w in range(1, d.n + 1):
+        col = blk[w - 1]
+        if w - o[col - 1] <= height:
             continue
-        if w not in has_left and diagram.vertex_column(w) > diagram.vertex_column(u):
+        if w not in has_left and col > blk[u - 1]:
             left_fixes.append((u, w))
-        if w not in has_right and diagram.vertex_column(w) < diagram.vertex_column(v):
+        if w not in has_right and col < blk[v - 1]:
             right_fixes.append((w, v))
     return left_fixes, right_fixes
 
 
 def _diagram_candidates(d: Composition, i: int, j: int):
-    """Deterministic witness candidates, in order: break one edge of a chain
-    contributing to the window's threshold rank (deepest chain first),
-    optionally reconnecting the loose ends to deeper rows; then the diagram
-    realization of the moved tableau of (i, j)."""
-    base = complete_diagram(d)
+    """Deterministic witness candidates as edge sets, in order: break one
+    edge of a chain contributing to the window's threshold rank (deepest
+    chain first), optionally reconnecting the loose ends to deeper rows; then
+    the diagram realization of the moved tableau of (i, j)."""
+    base = complete_diagram(d).edges
     for height, edge in _segment_edges(d, i, j):
-        broken = LineDiagram(d, base.edges - {edge})
+        broken = base - {edge}
         u, v = edge
-        left_fixes, right_fixes = _reattachment_options(broken, u, v, height)
+        left_fixes, right_fixes = _reattachment_options(d, broken, u, v, height)
         for lf in left_fixes:
             for rf in right_fixes:
-                if lf is not None and rf is not None and lf == rf:
-                    continue
-                extra = {e for e in (lf, rf) if e is not None}
-                yield LineDiagram(d, broken.edges | extra)
-    yield tableau_diagram(minimal_movement(d, i, j).tableau, d)
+                yield broken | {e for e in (lf, rf) if e is not None}
+    yield tableau_diagram(minimal_movement(d, i, j).tableau, d).edges
 
 
 def _walk_candidates(d: Composition, i: int, j: int, seed: int, budget: int):
-    """Seeded randomized walk in diagram space, ``budget`` trials: a random
-    break or the moved tableau's diagram, then random edge removals and
-    reconnections between free chain ends.  Trial n draws from the stream
-    seeded_stream(seed, n)."""
+    """Seeded randomized walk in diagram space, ``budget`` trials yielding
+    edge sets: a random break or the moved tableau's diagram, then random
+    edge removals and reconnections between free chain ends.  Trial n draws
+    from the stream seeded_stream(seed, n)."""
     breaks = _segment_edges(d, i, j)
     blk = d.block_of
-    base = complete_diagram(d)
-    moved = tableau_diagram(minimal_movement(d, i, j).tableau, d)
+    base = complete_diagram(d).edges
+    moved = tableau_diagram(minimal_movement(d, i, j).tableau, d).edges
     for trial in range(budget):
         rng = seeded_stream(seed, trial)
         if rng.integers(2):
-            edges = set(moved.edges)
+            edges = set(moved)
         else:
             _, edge = breaks[int(rng.integers(len(breaks)))]
-            edges = set(base.edges) - {edge}
+            edges = set(base) - {edge}
         for _ in range(int(rng.integers(1, 5))):
             if edges and rng.integers(2):
                 edges.discard(sorted(edges)[int(rng.integers(len(edges)))])
@@ -362,16 +370,16 @@ def _walk_candidates(d: Composition, i: int, j: int, seed: int, budget: int):
             ]
             if free and rng.integers(2):
                 edges.add(free[int(rng.integers(len(free)))])
-        yield LineDiagram(d, frozenset(edges))
+        yield frozenset(edges)
 
 
-def _screen_batch(chunk: list[LineDiagram], n: int) -> np.ndarray:
-    """The int64 matrices of the diagrams in ``chunk``, built straight from
-    their edges: entry (u-1, v-1) of matrix b is 1 for each edge (u, v) of
-    chunk[b], as in LineDiagram.to_matrix."""
+def _screen_batch(chunk: list[frozenset], n: int) -> np.ndarray:
+    """The int64 matrices of the edge sets in ``chunk``: entry (u-1, v-1) of
+    matrix b is 1 for each edge (u, v) of chunk[b], as in
+    LineDiagram.to_matrix."""
     mats = np.zeros((len(chunk), n, n), dtype=np.int64)
-    b, r, c = np.array([(k, u - 1, v - 1) for k, diag in enumerate(chunk)
-                        for u, v in diag.edges], dtype=np.int64).reshape(-1, 3).T
+    b, r, c = np.array([(k, u - 1, v - 1) for k, edges in enumerate(chunk)
+                        for u, v in edges], dtype=np.int64).reshape(-1, 3).T
     mats[b, r, c] = 1
     return mats
 
@@ -396,8 +404,9 @@ def witness(d, pair: tuple[int, int], seed: int = 0, budget: int = 100_000) -> E
     Two candidate phases, the deterministic diagram candidates and then
     ``budget`` trials of the seeded walk, are screened mod DEFAULT_PRIME in
     chunks of _CHUNK, one rank table per chunk built from the candidates'
-    edges.  The first candidate in the stratum of ``pair`` alone becomes an
-    ExactMatrix and is certified over the rationals by ``separates``.
+    edges.  Candidates stay edge sets; the first one in the stratum of
+    ``pair`` alone becomes a LineDiagram and an ExactMatrix, and is certified
+    over the rationals by ``separates``.
     Raises WitnessSearchError when both phases are exhausted.
     """
     d = as_composition(d)
@@ -415,7 +424,7 @@ def witness(d, pair: tuple[int, int], seed: int = 0, budget: int = 100_000) -> E
             flags = defect_flags(rank_tables(mats, tab, DEFAULT_PRIME), tab)
             hits = np.flatnonzero((stratum_flags(flags, tab)[:, tab.lam] == want).all(axis=1))
             if hits.size:
-                a = chunk[hits[0]].to_matrix()
+                a = LineDiagram(d, chunk[hits[0]]).to_matrix()
                 if not separates(a, d, (i, j)):
                     raise AssertionError(
                         "mod-p screening accepted a matrix that does not separate")

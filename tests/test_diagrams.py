@@ -9,7 +9,6 @@ from rorc import (
     complete_diagram,
     diagram_partition,
     dominance_leq,
-    long_chain_count,
     max_window_rank,
     richardson_element,
     richardson_partition,
@@ -174,14 +173,6 @@ def test_window_chains():
     assert [tuple(c) for c in window_chains(RUNNING, 1, RUNNING.t)] == list(rows)
     with pytest.raises(ValueError):
         window_chains(RUNNING, 5, 4)
-
-
-def test_long_chain_count_vs_rank_formula():
-    # the literal chain count disagrees with the rank at low exponents
-    d = Composition.of(2, 1, 2)
-    assert long_chain_count(d, 1, 3, 1) == 2
-    assert max_window_rank(d, 1, 3, 1) == 3
-    assert long_chain_count(d, 1, 3, 2) == max_window_rank(d, 1, 3, 2) == 1
 
 
 def test_tableau_diagram_realizes_prefixes():

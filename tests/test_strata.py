@@ -30,9 +30,10 @@ from rorc import (
     separates,
     witness,
 )
+from rorc.cli import main
 from rorc.diagrams import LineDiagram, complete_diagram
 from rorc.strata import defect_flags, rank_tables, stratum_flags, window_tables
-from rorc.strata import _diagram_candidates, _screen_batch, _walk_candidates
+from rorc.strata import _diagram_candidates, _exact_defects, _screen_batch, _walk_candidates
 
 RUNNING = Composition.of(7, 5, 2, 3, 5, 1, 2, 6, 5)
 
@@ -372,8 +373,9 @@ def test_rank_tables_match_bareiss_on_line_diagrams(p):
 
 
 def test_defect_profile_matches_rank_defect():
-    """defect_profile lists exactly the cells (i, j, k) where rank_defect
-    holds, in (i, j, k) order, on dense, sparse and line-diagram matrices."""
+    """defect_profile and rank_defect agree with a rank of the k-th power of
+    each window, computed here independently of the exact defect table, on
+    dense, sparse and line-diagram matrices."""
     rng = random.Random(41)
     comps = [RUNNING] + [Composition.of(*(rng.randint(1, 3) for _ in range(rng.randint(1, 5))))
                          for _ in range(10)]
@@ -386,22 +388,64 @@ def test_defect_profile_matches_rank_defect():
         cells = [(i, j, k) for i in range(1, d.t) for j in range(i + 1, d.t + 1)
                  for k in range(1, j - i + 1)]
         for a in (dense, sparse, _random_line_diagram(rng, d).to_matrix()):
-            assert defect_profile(a, d) == [c for c in cells if rank_defect(a, d, *c)]
+            want = [(i, j, k) for i, j, k in cells
+                    if a.window(d, i, j).power(k).rank() < max_window_rank(d, i, j, k)]
+            assert defect_profile(a, d) == want
+            assert [c for c in cells if rank_defect(a, d, *c)] == want
+
+
+def _count_calls(monkeypatch, cls, name):
+    """Wrap cls.name to count its calls; returns the one-element counter."""
+    counter = [0]
+    method = getattr(cls, name)
+
+    def counting(self, *args, **kwargs):
+        counter[0] += 1
+        return method(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
+    return counter
 
 
 def test_defect_profile_forms_each_power_of_a_once(monkeypatch):
     a = witness(RUNNING, (3, 7))
-    calls = 0
-    mul = ExactMatrix.mul
-
-    def counting_mul(self, other):
-        nonlocal calls
-        calls += 1
-        return mul(self, other)
-
-    monkeypatch.setattr(ExactMatrix, "mul", counting_mul)
+    _exact_defects.cache_clear()
+    calls = _count_calls(monkeypatch, ExactMatrix, "mul")
     assert defect_profile(a, RUNNING)
-    assert calls == RUNNING.t - 2 == 7
+    assert calls[0] == RUNNING.t - 2 == 7
+
+
+@pytest.mark.parametrize("parts, pair, seed", [
+    (RUNNING.parts, "3,7", 0),
+    (RUNNING.parts, "1,8", 0),
+    ((3, 1, 1, 1, 3, 1), "2,3", 2),     # found by the walk phase
+])
+def test_cli_witness_forms_powers_once(monkeypatch, capsys, parts, pair, seed):
+    """One ``rorc witness`` call certifies its witness and reports its defect
+    profile off one exact table: t - 2 products, and no LineDiagram per
+    screened candidate."""
+    _exact_defects.cache_clear()
+    muls = _count_calls(monkeypatch, ExactMatrix, "mul")
+    diagrams = _count_calls(monkeypatch, LineDiagram, "__post_init__")
+    argv = ["witness", "-d", ",".join(map(str, parts)), "--pair", pair,
+            "--seed", str(seed), "--json"]
+    assert main(argv) == 0
+    assert '"defect_profile"' in capsys.readouterr().out
+    assert muls[0] == len(parts) - 2
+    assert diagrams[0] <= 5
+
+
+def test_exact_defect_cache_keys_on_the_field():
+    """Equal rows over Q and F_2 are distinct cache keys: the top-right block
+    has determinant 2, so it is defective over F_2 only."""
+    d = Composition.of(3, 3)
+    block = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    rows = [[0, 0, 0] + r for r in block] + [[0] * 6 for _ in range(3)]
+    q, f2 = ExactMatrix(rows, "Q"), ExactMatrix(rows, "Fp:2")
+    for order in ((q, f2), (f2, q)):
+        _exact_defects.cache_clear()
+        got = {a.field: rank_defect(a, d, 1, 2, 1) for a in order}
+        assert got == {"Q": False, "Fp:2": True}
 
 
 def test_low_power_defect_does_not_force_threshold_defect():
@@ -464,21 +508,23 @@ def test_witness_builds_only_the_accepted_matrix(monkeypatch):
     assert calls == 1
 
 
-def _to_matrix_batch(chunk):
-    return np.stack([g.to_matrix().to_numpy() for g in chunk])
+def _to_matrix_batch(d, chunk):
+    return np.stack([LineDiagram(d, e).to_matrix().to_numpy() for e in chunk])
 
 
 def test_screen_batch_matches_diagram_matrices():
     for pair in sorted(lambda_pairs(RUNNING)):
         chunk = list(_diagram_candidates(RUNNING, *pair))
-        assert np.array_equal(_screen_batch(chunk, RUNNING.n), _to_matrix_batch(chunk))
+        assert all(isinstance(e, frozenset) for e in chunk)
+        assert np.array_equal(_screen_batch(chunk, RUNNING.n), _to_matrix_batch(RUNNING, chunk))
     walk = list(_walk_candidates(RUNNING, 3, 7, seed=11, budget=200))
     assert len(walk) == 200
     for s in range(0, 200, 64):
         chunk = walk[s:s + 64]
         batch = _screen_batch(chunk, RUNNING.n)
         assert batch.dtype == np.int64
-        assert np.array_equal(batch, _to_matrix_batch(chunk))
-    empty = [LineDiagram(Composition.of(2, 1, 2))]
+        assert np.array_equal(batch, _to_matrix_batch(RUNNING, chunk))
+    empty = [frozenset()]
     assert np.array_equal(_screen_batch(empty, 5), np.zeros((1, 5, 5), dtype=np.int64))
-    assert np.array_equal(_screen_batch(empty, 5), _to_matrix_batch(empty))
+    assert np.array_equal(_screen_batch(empty, 5),
+                          _to_matrix_batch(Composition.of(2, 1, 2), empty))
