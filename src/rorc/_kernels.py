@@ -1,10 +1,14 @@
 """Mod-p matrix kernels: batched elimination, products, window rank tables
 and the exhaustive enumeration decode.
 
-All kernels take int64 arrays with entries reduced mod a prime p.  Elimination
-uses cross-multiplied rows (r <- pivot*r - f*pivot_row), which never needs
-modular inverses, and products reduce once per product; every intermediate is
-bounded by n*(p-1)^2, which the callers keep below 2^63.
+All kernels take int64 arrays with entries reduced mod a prime p, and the
+callers keep n*(p-1)^2 below 2^63: products reduce once per product, and an
+entry sums n terms of at most (p-1)^2.  Elimination works on a batch-last
+``(r, c, B)`` copy with cross-multiplied rows (r <- pivot*r - f*pivot_row, no
+modular inverses) and delayed reduction (FFLAS-FFPACK; Dumas-Giorgi-Pernet,
+ACM TOMS 2008): a step reduces only the pivot column and row, and takes the
+bound B on the live entries, p-1 at first, to B*(p-1) + (p-1)^2; the live
+block is reduced only when that would pass 2^63 - 1.
 
 The elimination takes columns in order, pivots on the topmost free row with a
 nonzero entry and only ever adds a row to rows below it.  So it keeps the
@@ -28,14 +32,20 @@ import numpy as np
 _SLICE = 256
 
 
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """``x % p`` as ``x - (x // p) * p``, which numpy computes several times
+    faster; exact even where the product wraps, as the result is in [0, p)."""
+    return x - x // p * p
+
+
 def _eliminate(m: np.ndarray, p: int, first=None) -> np.ndarray:
-    """Pivot rows of a batch ``(B, r, c)`` reduced mod p, eliminated in place.
+    """Pivot rows of a batch ``(B, r, c)`` reduced mod p; ``m`` is unchanged.
 
     Returns ``(B, c)`` with the pivot row of each column, or r where the
-    column has none.  A free-row mask replaces row swaps, and each step
-    updates the live columns in place; a member without a pivot in the
-    current column is left unchanged.  Free rows above the pivot are zero in
-    its column, so only rows below it change by more than a nonzero scale.
+    column has none; it works on a batch-last copy (see above).  A free-row
+    mask replaces row swaps; a member without a pivot in the current column
+    is left unchanged.  Free rows above the pivot are zero in its column, so
+    only rows below it change by more than a nonzero scale.
 
     ``first``, when given, is a nonincreasing per-column row bound: rows above
     ``first[col]`` are zero in column ``col`` and in every earlier column.  The
@@ -45,26 +55,32 @@ def _eliminate(m: np.ndarray, p: int, first=None) -> np.ndarray:
     the pivots are the same.
     """
     nb, nr, nc = m.shape
+    w = m.transpose(1, 2, 0).copy()
     members = np.arange(nb)
-    free = np.ones((nb, nr), dtype=bool)
-    pivots = np.full((nb, nc), nr, dtype=np.int64)
+    free = np.ones((nr, nb), dtype=bool)
+    pivots = np.full((nc, nb), nr, dtype=np.int64)
+    bound = p - 1
     for col, top in enumerate([0] * nc if first is None else first):
-        rows, rfree = m[:, top:], free[:, top:]
-        cand = rfree & (rows[:, :, col] != 0)
-        has = cand.any(1)
+        column = _mod(w[top:, col], p)
+        rfree = free[top:]
+        cand = rfree & (column != 0)
+        has = cand.any(0)
         if not has.any():
             continue
-        piv = cand.argmax(1)
-        pivots[:, col] = np.where(has, piv + top, nr)
-        pivot_row = rows[members, piv, col + 1:]
-        pv = np.where(has, rows[members, piv, col], 1)
-        rfree[members, piv] &= ~has
-        f = np.where(rfree, rows[:, :, col], 0)
-        live = rows[:, :, col + 1:]
-        live *= pv[:, None, None]
-        live -= f[:, :, None] * pivot_row[:, None, :]
-        live %= p
-    return pivots
+        piv = cand.argmax(0)
+        pivots[col] = np.where(has, piv + top, nr)
+        pv = np.where(has, column[piv, members], 1)
+        rfree[piv, members] &= ~has
+        f = np.where(rfree, column, 0)
+        live = w[top:, col + 1:]
+        pivot_row = _mod(live[piv, :, members].T, p)
+        bound = bound * (p - 1) + (p - 1) ** 2
+        if bound >= 2**63:
+            live -= live // p * p
+            bound = 2 * (p - 1) ** 2
+        live *= pv
+        live -= f[:, None] * pivot_row
+    return pivots.T
 
 
 def rank_mod(mats, p: int):
@@ -73,19 +89,19 @@ def rank_mod(mats, p: int):
     The pivot count of ``_eliminate``, run over the shorter side (rank is
     transpose-invariant) for the whole batch at once.
     """
-    m = np.asarray(mats, dtype=np.int64) % p
+    m = _mod(np.asarray(mats, dtype=np.int64), p)
     single = m.ndim == 2
     if single:
         m = m[None]
     if m.shape[1] < m.shape[2]:
-        m = m.transpose(0, 2, 1).copy()
+        m = m.transpose(0, 2, 1)
     rank = (_eliminate(m, p) < m.shape[1]).sum(1)
     return int(rank[0]) if single else rank
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """``a @ b`` mod p, for single matrices or batches."""
-    return (a @ b) % p
+    return _mod(a @ b, p)
 
 
 def _leading_ranks(m: np.ndarray, nrows: np.ndarray, ncols: np.ndarray,
@@ -93,8 +109,7 @@ def _leading_ranks(m: np.ndarray, nrows: np.ndarray, ncols: np.ndarray,
     """Ranks ``(B, q)`` of the leading ``nrows[q] x ncols[q]`` submatrices of
     a batch ``m``, all from one elimination under the row bound ``first``:
     each is the number of pivots inside it, read off a 2-D cumsum of the
-    pivot indicator.  ``m`` is left unchanged."""
-    m = m.copy()
+    pivot indicator."""
     nb, nr, nc = m.shape
     pivots = _eliminate(m, p, first)
     # row nr of the indicator takes the columns without a pivot
@@ -177,7 +192,7 @@ def window_rank_table(mats, offsets, pairs, p):
     nb = mats.shape[0]
     table = np.full((nb, len(pairs), kmax), -1, dtype=np.int64)
     for start in range(0, nb, _SLICE):
-        a = mats[start:start + _SLICE] % p
+        a = _mod(mats[start:start + _SLICE], p)
         if a[:, outside].any():
             raise ValueError("matrix entry outside the strictly upper block pattern")
         rows = table[start:start + _SLICE]

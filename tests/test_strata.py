@@ -292,7 +292,7 @@ def _int64_bound_prime(n: int) -> int:
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(parts=st.lists(st.integers(1, 4), min_size=1, max_size=6),
-       prime=st.sampled_from(["2", "3", "32003", "int64 bound"]),
+       prime=st.sampled_from(["2", "3", "4093", "32003", "1000003", "int64 bound"]),
        seed=st.integers(0, 2**32 - 1),
        density=st.sampled_from([1.0, 0.4, 0.1]),
        count=st.integers(1, 3))
