@@ -108,15 +108,12 @@ def _leading_ranks(m: np.ndarray, nrows: np.ndarray, ncols: np.ndarray,
                    first: list[int], p: int) -> np.ndarray:
     """Ranks ``(B, q)`` of the leading ``nrows[q] x ncols[q]`` submatrices of
     a batch ``m``, all from one elimination under the row bound ``first``:
-    each is the number of pivots inside it, read off a 2-D cumsum of the
-    pivot indicator."""
-    nb, nr, nc = m.shape
+    each is the number of pivots inside it: of its ``ncols[q]`` columns, those
+    whose pivot row is less than ``nrows[q]`` (a column without one has r)."""
     pivots = _eliminate(m, p, first)
-    # row nr of the indicator takes the columns without a pivot
-    indicator = np.zeros((nb, nr + 1, nc), dtype=np.int64)
-    indicator[np.arange(nb)[:, None], pivots, np.arange(nc)] = 1
-    inside = indicator[:, :nr].cumsum(1).cumsum(2)
-    return inside[:, nrows - 1, ncols - 1]
+    inside = pivots[:, None, :] < nrows[:, None]
+    inside &= np.arange(m.shape[2]) < ncols[:, None]
+    return inside.sum(2)
 
 
 def _corner_bound(o: tuple[int, ...], k: int) -> tuple[bool, list[int]]:

@@ -8,7 +8,8 @@ one to its right, so connected components are paths ("chains").
 
 The complete diagram joins, at every height h, consecutive columns of size
 >= h; its image under the edge-to-unit-matrix map is an element of the dense
-orbit, and counting chain segments yields the maximal window ranks.
+orbit, and counting chain segments yields the window ranks of any diagram's
+matrix (chain_window_rank), the maximal ones on the complete diagram.
 """
 
 from __future__ import annotations
@@ -61,17 +62,7 @@ class LineDiagram:
 
     def chains(self) -> list[tuple[int, ...]]:
         """Connected components as vertex paths, ordered by their first vertex."""
-        right = {u: v for u, v in self.edges}
-        has_left = {v for _, v in self.edges}
-        out = []
-        for start in range(1, self.n + 1):
-            if start in has_left:
-                continue
-            path = [start]
-            while path[-1] in right:
-                path.append(right[path[-1]])
-            out.append(tuple(path))
-        return out
+        return edge_chains(self.n, self.edges)
 
     def to_matrix(self) -> ExactMatrix:
         """Sum of unit matrices E_uv over the edges (u, v); entries 0-based inside."""
@@ -79,6 +70,19 @@ class LineDiagram:
             self.n, [(u - 1, v - 1, 1) for u, v in self.edges],
             field="Q", blocks=self.columns,
         )
+
+
+def edge_chains(n: int, edges) -> list[tuple[int, ...]]:
+    """The vertex paths of a branchless edge set on vertices 1..n, ordered by
+    their first vertex; the edges are taken as given, not validated."""
+    right = dict(edges)
+    out = []
+    for start in sorted(set(range(1, n + 1)).difference(right.values())):
+        path = [start]
+        while path[-1] in right:
+            path.append(right[path[-1]])
+        out.append(tuple(path))
+    return out
 
 
 def vertex_id(d, col: int, height: int) -> int:
@@ -164,13 +168,20 @@ def tableau_diagram(tab, d) -> LineDiagram:
     return LineDiagram(d, frozenset(edges))
 
 
+def chain_window_rank(visits, i: int, j: int, k: int) -> int:
+    """Rank of the k-th power of window (i, j) of a line diagram's matrix, from
+    the columns each chain visits (one sequence per chain).  The matrix is a
+    partial permutation, and a chain's m vertices in columns i..j are
+    consecutive on it, so they give max(m - k, 0) ones in the window of A^k."""
+    return sum(max(sum(i <= c <= j for c in cols) - k, 0) for cols in visits)
+
+
 def max_window_rank(d, i: int, j: int, k: int) -> int:
     """Rank of the k-th power of the window (i, j) of a dense-orbit element.
 
-    A chain through c columns of the complete window diagram contributes
-    max(c - k, 0) independent k-step segments, so the total is the sum over
-    window_chains(d, i, j); equivalently the sum of the j-i-k+1 smallest
-    window parts.  Positive exactly when k <= j - i.
+    This is chain_window_rank on the complete diagram, whose chains visit the
+    columns window_chains(d, 1, t); equivalently the sum of the j-i-k+1
+    smallest window parts.  Positive exactly when k <= j - i.
     """
     d = as_composition(d)
     d.check_pair(i, j)
@@ -182,7 +193,7 @@ def max_window_rank(d, i: int, j: int, k: int) -> int:
 # bounded like strata._window_tables; a composition of t = 6 has at most 50 keys
 @lru_cache(maxsize=4096)
 def _max_window_rank(d: Composition, i: int, j: int, k: int) -> int:
-    return sum(max(len(c) - k, 0) for c in window_chains(d, i, j))
+    return chain_window_rank(window_chains(d, 1, d.t), i, j, k)
 
 
 def render_ascii(diagram: LineDiagram) -> str:

@@ -11,15 +11,16 @@ lambda_pairs(d) are exactly the irreducible components of the complement.
 Everything here is exact: predicates on rational matrices use fraction-free
 elimination, predicates on prime-field matrices use modular elimination.
 The membership predicates read one exact defect table per matrix through
-the screen's defect_flags and stratum_flags.  The witness search screens its
-candidates, edge sets, mod p and certifies the accepted one over the rationals.
+the verifier's defect_flags and stratum_flags.  The witness search screens its
+candidates, line diagrams kept as edge sets, by counting their chains
+(chain_window_rank) and certifies the accepted one over the rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -35,21 +36,20 @@ from .compositions import (
 )
 from .diagrams import (
     LineDiagram,
+    chain_window_rank,
     complete_diagram,
+    edge_chains,
     max_window_rank,
     tableau_diagram,
     vertex_id,
     window_chains,
 )
-from .matrices import DEFAULT_PRIME, ExactMatrix
+from .matrices import ExactMatrix
 from .tableaux import YoungTableau, minimal_movement
 
 
 class WitnessSearchError(RuntimeError):
     """Raised when the witness search exhausts its trial budget."""
-
-
-_CHUNK = 64     # witness candidates screened per rank table
 
 
 # ---------------------------------------------------------------------------
@@ -373,28 +373,16 @@ def _walk_candidates(d: Composition, i: int, j: int, seed: int, budget: int):
         yield frozenset(edges)
 
 
-def _screen_batch(chunk: list[frozenset], n: int) -> np.ndarray:
-    """The int64 matrices of the edge sets in ``chunk``: entry (u-1, v-1) of
-    matrix b is 1 for each edge (u, v) of chunk[b], as in
-    LineDiagram.to_matrix."""
-    mats = np.zeros((len(chunk), n, n), dtype=np.int64)
-    b, r, c = np.array([(k, u - 1, v - 1) for k, edges in enumerate(chunk)
-                        for u, v in edges], dtype=np.int64).reshape(-1, 3).T
-    mats[b, r, c] = 1
-    return mats
-
-
 def separates(a: ExactMatrix, d, pair: tuple[int, int]) -> bool:
     """True when A lies in the stratum of ``pair`` and in the stratum of no
-    other pair of lambda_pairs(d), by the exact predicate in_stratum."""
+    other pair of lambda_pairs(d), read off A's one exact defect table."""
     d = as_composition(d)
     i, j = pair
-    lam = lambda_pairs(d)
-    if (i, j) not in lam:
+    if (i, j) not in lambda_pairs(d):
         raise ValueError(f"pair ({i},{j}) is not in lambda_pairs({d})")
-    return in_stratum(a, d, i, j) and not any(
-        in_stratum(a, d, k, l) for k, l in lam if (k, l) != (i, j)
-    )
+    tab = window_tables(d)
+    want = np.arange(len(tab.pairs)) == tab.pairs.index((i, j))
+    return bool((stratum_flags(_exact_defects(a, d), tab) == want)[tab.lam].all())
 
 
 def witness(d, pair: tuple[int, int], seed: int = 0, budget: int = 100_000) -> ExactMatrix:
@@ -402,11 +390,12 @@ def witness(d, pair: tuple[int, int], seed: int = 0, budget: int = 100_000) -> E
     component stratum.
 
     Two candidate phases, the deterministic diagram candidates and then
-    ``budget`` trials of the seeded walk, are screened mod DEFAULT_PRIME in
-    chunks of _CHUNK, one rank table per chunk built from the candidates'
-    edges.  Candidates stay edge sets; the first one in the stratum of
-    ``pair`` alone becomes a LineDiagram and an ExactMatrix, and is certified
-    over the rationals by ``separates``.
+    ``budget`` trials of the seeded walk, yield line diagrams as edge sets.
+    Each is screened by its chains: its window rank at kappa, from
+    chain_window_rank, must fall below the threshold for ``pair`` and for no
+    other pair of lambda_pairs(d).  The first candidate that passes becomes a
+    LineDiagram and an ExactMatrix, and is certified over the rationals by
+    ``separates``.
     Raises WitnessSearchError when both phases are exhausted.
     """
     d = as_composition(d)
@@ -415,20 +404,20 @@ def witness(d, pair: tuple[int, int], seed: int = 0, budget: int = 100_000) -> E
         raise ValueError(f"pair ({i},{j}) is not in lambda_pairs({d})")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    tab = window_tables(d)
-    want = (np.arange(len(tab.pairs)) == tab.pairs.index((i, j)))[tab.lam]
-    for candidates in (_diagram_candidates(d, i, j),
-                       _walk_candidates(d, i, j, seed, budget)):
-        while chunk := list(islice(candidates, _CHUNK)):
-            mats = _screen_batch(chunk, d.n)
-            flags = defect_flags(rank_tables(mats, tab, DEFAULT_PRIME), tab)
-            hits = np.flatnonzero((stratum_flags(flags, tab)[:, tab.lam] == want).all(axis=1))
-            if hits.size:
-                a = LineDiagram(d, chunk[hits[0]]).to_matrix()
-                if not separates(a, d, (i, j)):
-                    raise AssertionError(
-                        "mod-p screening accepted a matrix that does not separate")
-                return a
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    blk = d.block_of
+    strata = [((k, l) == (i, j), k, l, kappa(d, k, l), max_window_rank(d, k, l, kappa(d, k, l)))
+              for k, l in sorted(lambda_pairs(d))]
+    for edges in chain(_diagram_candidates(d, i, j), _walk_candidates(d, i, j, seed, budget)):
+        visits = [[blk[v - 1] for v in path] for path in edge_chains(d.n, edges)]
+        if all((chain_window_rank(visits, k, l, kap) < thr) == own
+               for own, k, l, kap, thr in strata):
+            a = LineDiagram(d, edges).to_matrix()
+            if not separates(a, d, (i, j)):
+                raise AssertionError(
+                    "the chain-count screen accepted a matrix that does not separate")
+            return a
     raise WitnessSearchError(
         f"no separating witness for {pair} within {budget} trials; "
         "this signals a bug or a degenerate configuration worth inspecting"

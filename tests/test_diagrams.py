@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from rorc import (
@@ -15,8 +16,16 @@ from rorc import (
     render_ascii,
     subdiagram,
 )
-from rorc.diagrams import tableau_diagram, vertex_id, window_chains
+from rorc.diagrams import (
+    chain_window_rank,
+    edge_chains,
+    tableau_diagram,
+    vertex_id,
+    window_chains,
+)
 from rorc.matrices import ExactMatrix
+from rorc.strata import rank_tables, window_tables
+from rorc.verify import compositions_of
 from rorc.tableaux import richardson_tableau
 
 RUNNING = Composition.of(7, 5, 2, 3, 5, 1, 2, 6, 5)
@@ -163,6 +172,49 @@ def test_max_window_rank_is_exact_window_rank():
                         x.window(d, i, j).power(k).rank()
                         == max_window_rank(d, i, j, k)
                     )
+
+
+def _line_diagrams(d: Composition):
+    """Every line diagram of d as an edge set: each vertex in turn takes no
+    right partner or a vertex of a later column that has no left one yet."""
+    blk = d.block_of
+
+    def extend(u, taken, edges):
+        if u > d.n:
+            yield frozenset(edges)
+            return
+        yield from extend(u + 1, taken, edges)
+        for v in range(u + 1, d.n + 1):
+            if blk[v - 1] > blk[u - 1] and v not in taken:
+                yield from extend(u + 1, taken | {v}, [*edges, (u, v)])
+
+    return extend(1, frozenset(), [])
+
+
+def test_chain_window_rank_matches_rank_tables_on_every_small_diagram():
+    """The chain count against the mod-p rank table at every window and power
+    of every line diagram of every composition of n <= 7 with t >= 2."""
+    total = 0
+    for n in range(2, 8):
+        for parts in compositions_of(n):
+            if len(parts) < 2:
+                continue
+            d = Composition(parts)
+            tab = window_tables(d)
+            diagrams = list(_line_diagrams(d))
+            mats = np.zeros((len(diagrams), n, n), dtype=np.int64)
+            want = np.full((len(diagrams), len(tab.pairs), tab.kmax), -1, dtype=np.int64)
+            for b, edges in enumerate(diagrams):
+                for u, v in edges:
+                    mats[b, u - 1, v - 1] = 1
+                visits = [[d.block_of[v - 1] for v in path] for path in edge_chains(n, edges)]
+                for pi, (i, j) in enumerate(tab.pairs):
+                    for k in range(1, j - i + 1):
+                        want[b, pi, k - 1] = chain_window_rank(visits, i, j, k)
+            for p in (2, 32003):
+                assert np.array_equal(rank_tables(mats, tab, p), want)
+            total += len(diagrams)
+    assert total == 23008
 
 
 def test_window_chains():

@@ -9,14 +9,26 @@ up here.
 
 Regenerate the goldens (only when a report is meant to change) with
 ``PYTHONPATH=src python tests/test_reports.py``.
+
+``WITNESS_DIGEST`` pins every small witness: one SHA-256 over the argv, exit
+code and output of ``rorc witness --json --seed 0`` for each Lambda pair of
+every composition of n <= 8 with t >= 3 (636 calls).  Print the current value
+with ``PYTHONPATH=src python tests/test_reports.py digest``.
 """
 
+import hashlib
+import io
+import json
 import os
+import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from rorc import Composition, lambda_pairs
 from rorc.cli import main
+from rorc.verify import compositions_of
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "reports"
 
@@ -68,7 +80,36 @@ def test_report_matches_golden(name, tmp_path, monkeypatch):
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
 
+WITNESS_DIGEST = "e16bf91f4dd959e69fa2fedba46d76cb673b39adf14c05c90de8f2d1f1e633a2"
+
+
+def _witness_digest() -> tuple[int, str]:
+    digest = hashlib.sha256()
+    calls = 0
+    for n in range(3, 9):
+        for parts in compositions_of(n):
+            if len(parts) < 3:
+                continue
+            for i, j in sorted(lambda_pairs(Composition(parts))):
+                argv = ["witness", "-d", ",".join(map(str, parts)), "--pair", f"{i},{j}",
+                        "--seed", "0", "--json"]
+                out = io.StringIO()
+                with redirect_stdout(out):
+                    code = main(argv)
+                digest.update(json.dumps([argv, code]).encode() + b"\n"
+                              + out.getvalue().encode())
+                calls += 1
+    return calls, digest.hexdigest()
+
+
+def test_small_witnesses_match_digest():
+    assert _witness_digest() == (636, WITNESS_DIGEST)
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["digest"]:
+        print(*_witness_digest())
+        sys.exit()
     os.environ.pop("RORC_SEED", None)
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for case in sorted(CASES):

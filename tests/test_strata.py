@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -31,9 +32,9 @@ from rorc import (
     witness,
 )
 from rorc.cli import main
-from rorc.diagrams import LineDiagram, complete_diagram
+from rorc.diagrams import LineDiagram, chain_window_rank, complete_diagram, edge_chains
 from rorc.strata import defect_flags, rank_tables, stratum_flags, window_tables
-from rorc.strata import _diagram_candidates, _exact_defects, _screen_batch, _walk_candidates
+from rorc.strata import _diagram_candidates, _exact_defects, _walk_candidates
 
 RUNNING = Composition.of(7, 5, 2, 3, 5, 1, 2, 6, 5)
 
@@ -215,7 +216,7 @@ def test_witness_certification_survives_optimize():
     # screened matrix that the exact predicate places outside the stratum
     script = (
         "import rorc.strata as s\n"
-        "s.in_stratum = lambda *args: False\n"
+        "s.separates = lambda *args: False\n"
         "try:\n"
         "    s.witness(s.Composition.of(2, 1, 2), (1, 3))\n"
         "except AssertionError:\n"
@@ -256,7 +257,7 @@ def test_separates():
 ])
 def test_witness_budget_counts_walk_trials(parts, pair, seed, budget):
     # only walk trial budget - 1 separates among the first budget trials, so
-    # one trial less exhausts the search; both trials lie past the first chunk
+    # one trial less exhausts the search
     with pytest.raises(WitnessSearchError):
         witness(parts, pair, seed=seed, budget=budget - 1)
     assert separates(witness(parts, pair, seed=seed, budget=budget), parts, pair)
@@ -272,6 +273,9 @@ def test_witness_rejects_negative_seed_before_searching():
     d = Composition.of(7, 5, 2, 3, 5, 1, 2, 6, 5)
     with pytest.raises(ValueError, match="seed"):
         witness(d, (3, 7), seed=-1)
+    # only the walk finds this one; a negative budget is refused, not searched
+    with pytest.raises(ValueError, match="budget"):
+        witness((3, 1, 1, 1, 3, 1), (2, 3), seed=2, budget=-5)
 
 
 def test_window_tables_structure():
@@ -508,23 +512,40 @@ def test_witness_builds_only_the_accepted_matrix(monkeypatch):
     assert calls == 1
 
 
-def _to_matrix_batch(d, chunk):
-    return np.stack([LineDiagram(d, e).to_matrix().to_numpy() for e in chunk])
-
-
-def test_screen_batch_matches_diagram_matrices():
-    for pair in sorted(lambda_pairs(RUNNING)):
-        chunk = list(_diagram_candidates(RUNNING, *pair))
-        assert all(isinstance(e, frozenset) for e in chunk)
-        assert np.array_equal(_screen_batch(chunk, RUNNING.n), _to_matrix_batch(RUNNING, chunk))
-    walk = list(_walk_candidates(RUNNING, 3, 7, seed=11, budget=200))
+def test_chain_counts_match_exact_defects_on_witness_candidates():
+    """The screen's chain count against the exact defect table of each
+    candidate's matrix: every diagram candidate of the running example's
+    four components, and 200 walk candidates."""
+    d = RUNNING
+    tab = window_tables(d)
+    candidates = [e for pair in sorted(lambda_pairs(d)) for e in _diagram_candidates(d, *pair)]
+    walk = list(_walk_candidates(d, 3, 7, seed=11, budget=200))
     assert len(walk) == 200
-    for s in range(0, 200, 64):
-        chunk = walk[s:s + 64]
-        batch = _screen_batch(chunk, RUNNING.n)
-        assert batch.dtype == np.int64
-        assert np.array_equal(batch, _to_matrix_batch(RUNNING, chunk))
-    empty = [frozenset()]
-    assert np.array_equal(_screen_batch(empty, 5), np.zeros((1, 5, 5), dtype=np.int64))
-    assert np.array_equal(_screen_batch(empty, 5),
-                          _to_matrix_batch(Composition.of(2, 1, 2), empty))
+    for edges in candidates + walk:
+        assert isinstance(edges, frozenset)
+        visits = [[d.block_of[v - 1] for v in path] for path in edge_chains(d.n, edges)]
+        a = LineDiagram(d, edges).to_matrix()
+        for (i, j), thresholds in zip(tab.pairs, tab.thresholds):
+            for k in range(1, j - i + 1):
+                below = chain_window_rank(visits, i, j, k) < thresholds[k - 1]
+                assert below == rank_defect(a, d, i, j, k)
+
+
+def test_witness_runs_no_mod_p_kernel(monkeypatch):
+    """The chain-count screen alone finds the golden witnesses."""
+    import rorc._kernels
+    import rorc.strata
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the witness search ran a mod-p rank table")
+
+    monkeypatch.setattr(rorc.strata, "rank_tables", refuse)
+    monkeypatch.setattr(rorc._kernels, "window_rank_table", refuse)
+    golden = Path(__file__).parent / "data" / "reports"
+    cases = [(RUNNING, pair, 0, f"witness_running_{pair[0]}_{pair[1]}")
+             for pair in sorted(lambda_pairs(RUNNING))]
+    cases.append((Composition.of(3, 1, 1, 1, 3, 1), (2, 3), 2, "witness_walk_311131"))
+    for d, pair, seed, name in cases:
+        want = ExactMatrix.from_json_dict(
+            json.loads((golden / f"{name}.json").read_text())["matrix"])
+        assert witness(d, pair, seed=seed) == want
