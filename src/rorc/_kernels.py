@@ -15,10 +15,12 @@ nonzero entry and only ever adds a row to rows below it.  So it keeps the
 rank of every leading submatrix, and that rank is the number of pivots inside
 it (the rank profile matrix; Dumas-Pernet-Sultan, J. Symbolic Comput. 2017).
 ``window_rank_table`` uses this to rank every window of one power of A with a
-single elimination.  The loop optionally takes a per-column first row, and
-``window_rank_table`` derives one from the block pattern of A^k, so the rows
-the pattern keeps zero are neither searched nor updated; ``rank_mod`` passes
-none.
+single elimination.  The loop takes a per-column first row, which
+``window_rank_table`` derives from the block pattern of A^k, so the rows the
+pattern keeps zero are neither searched nor updated.
+
+These kernels serve the verifier's populations alone; ``ExactMatrix`` ranks
+and multiplies in plain Python over Q and F_p, an independent check on them.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     return x - x // p * p
 
 
-def _eliminate(m: np.ndarray, p: int, first=None) -> np.ndarray:
+def _eliminate(m: np.ndarray, p: int, first) -> np.ndarray:
     """Pivot rows of a batch ``(B, r, c)`` reduced mod p; ``m`` is unchanged.
 
     Returns ``(B, c)`` with the pivot row of each column, or r where the
@@ -47,12 +49,12 @@ def _eliminate(m: np.ndarray, p: int, first=None) -> np.ndarray:
     is left unchanged.  Free rows above the pivot are zero in its column, so
     only rows below it change by more than a nonzero scale.
 
-    ``first``, when given, is a nonincreasing per-column row bound: rows above
-    ``first[col]`` are zero in column ``col`` and in every earlier column.  The
-    step for ``col`` then searches and updates only rows ``first[col]:``.  The
-    rows it skips are zero up to ``col`` and were skipped by every earlier
-    step, so skipping them differs from the full step by a nonzero row scale:
-    the pivots are the same.
+    ``first`` is a nonincreasing per-column row bound: rows above
+    ``first[col]`` are zero in column ``col`` and in every earlier column
+    (``[0] * c`` bounds nothing).  The step for ``col`` searches and updates
+    only rows ``first[col]:``.  The rows it skips are zero up to ``col`` and
+    were skipped by every earlier step, so skipping them differs from the full
+    step by a nonzero row scale: the pivots are the same.
     """
     nb, nr, nc = m.shape
     w = m.transpose(1, 2, 0).copy()
@@ -60,7 +62,7 @@ def _eliminate(m: np.ndarray, p: int, first=None) -> np.ndarray:
     free = np.ones((nr, nb), dtype=bool)
     pivots = np.full((nc, nb), nr, dtype=np.int64)
     bound = p - 1
-    for col, top in enumerate([0] * nc if first is None else first):
+    for col, top in enumerate(first):
         column = _mod(w[top:, col], p)
         rfree = free[top:]
         cand = rfree & (column != 0)
@@ -81,22 +83,6 @@ def _eliminate(m: np.ndarray, p: int, first=None) -> np.ndarray:
         live *= pv
         live -= f[:, None] * pivot_row
     return pivots.T
-
-
-def rank_mod(mats, p: int):
-    """Ranks over F_p of a batch ``(B, r, c)``, or the rank of one ``(r, c)``.
-
-    The pivot count of ``_eliminate``, run over the shorter side (rank is
-    transpose-invariant) for the whole batch at once.
-    """
-    m = _mod(np.asarray(mats, dtype=np.int64), p)
-    single = m.ndim == 2
-    if single:
-        m = m[None]
-    if m.shape[1] < m.shape[2]:
-        m = m.transpose(0, 2, 1)
-    rank = (_eliminate(m, p) < m.shape[1]).sum(1)
-    return int(rank[0]) if single else rank
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

@@ -7,9 +7,10 @@ p = 32003) for high-volume sampling.  All defining conditions are integer
 polynomials, so ranks certified over Q transfer, and mod-p ranks never exceed
 rational ones.
 
-Rank over Q uses fraction-free (Bareiss) elimination on integer rows to avoid
-coefficient blow-up; rational entries are cleared row-wise first (row scaling
-preserves rank).  Rank over F_p delegates to the mod-p kernels.
+Rank uses fraction-free (Bareiss) elimination for both fields: over Q on
+integer rows, rational entries cleared row-wise first (row scaling preserves
+rank); over F_p with each row reduced mod p.  Neither rank nor product runs
+the batched mod-p kernels, so this layer checks them independently.
 
 Validation happens once, at the public boundary: ``ExactMatrix(...)``,
 ``from_triples``, ``from_json_dict``, ``zeros``, ``identity`` and
@@ -28,7 +29,6 @@ from operator import mul
 
 import numpy as np
 
-from . import _kernels
 from .compositions import Composition, as_composition, conjugate
 
 DEFAULT_PRIME = 32003
@@ -36,13 +36,16 @@ DEFAULT_PRIME = 32003
 Scalar = int | Fraction
 
 
-def _normalize_field(field: str) -> tuple[str, int | None]:
+def _normalize_field(field: str, ncols: int) -> tuple[str, int | None]:
     if field == "Q":
         return "Q", None
     if field.startswith("Fp:"):
         p = int(field[3:])
         if p < 2:
             raise ValueError(f"modulus must be at least 2, got {p}")
+        if ncols * (p - 1) ** 2 >= 2 ** 63:    # checked first: it caps trial division
+            raise ValueError(f"Fp:{p} is too large for {ncols} columns: "
+                             "the int64 kernels need ncols*(p-1)^2 < 2^63")
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         return field, p
@@ -81,10 +84,10 @@ class ExactMatrix:
     __slots__ = ("nrows", "ncols", "rows", "field", "p", "blocks")
 
     def __init__(self, rows, field: str = "Q", blocks: Composition | None = None):
-        field, p = _normalize_field(field)
         rows = tuple(tuple(r) for r in rows)
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("rows must be non-empty and of equal length")
+        field, p = _normalize_field(field, len(rows[0]))
         if p is not None:
             rows = tuple(tuple(int(v) % p if isinstance(v, (int, np.integer))
                                else _rational_mod_p(v, p) for v in r) for r in rows)
@@ -96,9 +99,6 @@ class ExactMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", len(rows[0]))
-        if p is not None and self.ncols * (p - 1) ** 2 >= 2 ** 63:
-            raise ValueError(f"Fp:{p} is too large for {self.ncols} columns: "
-                             "the int64 kernels need ncols*(p-1)^2 < 2^63")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "p", p)
         if blocks is not None:
@@ -187,12 +187,11 @@ class ExactMatrix:
             raise ValueError("field mismatch")
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        if self.p is not None:
-            prod = _kernels.matmul_mod(self.to_numpy(), other.to_numpy(), self.p)
-            return self._derived(tuple(map(tuple, prod.tolist())))
         cols = list(zip(*other.rows))
-        return self._derived(tuple(tuple(sum(map(mul, row, col)) for col in cols)
-                                   for row in self.rows))
+        rows = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.rows)
+        if self.p is not None:
+            rows = tuple(tuple(v % self.p for v in row) for row in rows)
+        return self._derived(rows)
 
     def power(self, k: int) -> "ExactMatrix":
         if k < 0:
@@ -204,9 +203,7 @@ class ExactMatrix:
         return out
 
     def rank(self) -> int:
-        if self.p is not None:
-            return _kernels.rank_mod(self.to_numpy(), self.p)
-        return _rank_bareiss(self._integer_rows())
+        return _rank_bareiss(self._integer_rows(), self.p)
 
     def jordan_type(self) -> tuple[int, ...]:
         """Jordan block sizes of a nilpotent matrix, from ranks of its powers.
@@ -235,9 +232,6 @@ class ExactMatrix:
             scale = lcm(*(v.denominator for v in row))
             out.append([int(v * scale) for v in row])
         return out
-
-    def to_numpy(self) -> np.ndarray:
-        return np.array([[int(v) for v in row] for row in self.rows], dtype=np.int64)
 
     # -- block structure -----------------------------------------------------
 
@@ -336,11 +330,14 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    """Rank by one-step fraction-free elimination with column pivoting.
+def _rank_bareiss(rows: list[list[int]], p: int | None = None) -> int:
+    """Rank by one-step fraction-free elimination with column pivoting, over
+    Q, or over F_p when ``p`` is given.
 
-    After k pivots every entry is a (k+1)x(k+1) minor of the input, so the
-    division by the previous pivot is exact (Sylvester's identity).
+    Over Q, after k pivots every entry is a (k+1)x(k+1) minor of the input,
+    so the division by the previous pivot is exact (Sylvester's identity).
+    Over F_p the divisor stays 1 and each updated row is reduced mod p: the
+    step r <- pivot*r - f*pivot_row scales r by a unit, so it keeps the rank.
     """
     m = [row[:] for row in rows]
     nr = len(m)
@@ -359,7 +356,9 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
             for c in range(col + 1, nc):
                 m[r][c] = (m[r][c] * pv - m[rank][c] * f) // prev
             m[r][col] = 0
-        prev = pv
+            if p is not None:
+                m[r] = [v % p for v in m[r]]
+        prev = pv if p is None else 1
         rank += 1
         if rank == nr:
             break

@@ -8,12 +8,13 @@ attained on the dense orbit.  The stratum of a pair (i, j) imposes the defect
 at the threshold exponent kappa(i, j); the strata of the pairs in
 lambda_pairs(d) are exactly the irreducible components of the complement.
 
-Everything here is exact: predicates on rational matrices use fraction-free
-elimination, predicates on prime-field matrices use modular elimination.
-The membership predicates read one exact defect table per matrix through
-the verifier's defect_flags and stratum_flags.  The witness search screens its
-candidates, line diagrams kept as edge sets, by counting their chains
-(chain_window_rank) and certifies the accepted one over the rationals.
+Everything here is exact: the predicates rank with ExactMatrix, one
+fraction-free elimination over Q or reduced mod p, never with the mod-p
+kernels that rank_tables runs for the verifier.  They read one exact defect
+table per matrix through the verifier's defect_flags and stratum_flags.  The
+witness search screens its candidates, line diagrams kept as edge sets, by
+counting their chains (chain_window_rank) and certifies the accepted one over
+the rationals.
 """
 
 from __future__ import annotations

@@ -67,12 +67,13 @@ class ExperimentConfig:
         object.__setattr__(self, "d", as_composition(self.d))
         if self.mode not in ("exhaustive", "sample"):
             raise ConfigError(f"mode must be 'exhaustive' or 'sample', got {self.mode!r}")
-        if not _is_prime(self.fieldsize):
-            raise ConfigError(f"field size must be prime, got {self.fieldsize}")
-        if self.d.n * (self.fieldsize - 1) ** 2 >= 2 ** 63:
+        # the bound first: it caps the trial division of _is_prime
+        if self.fieldsize > 1 and self.d.n * (self.fieldsize - 1) ** 2 >= 2 ** 63:
             raise ConfigError(
                 f"field size {self.fieldsize} is too large for n = {self.d.n}: "
                 "the int64 kernels need n*(p-1)^2 < 2^63")
+        if not _is_prime(self.fieldsize):
+            raise ConfigError(f"field size must be prime, got {self.fieldsize}")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
         if self.seed < 0:

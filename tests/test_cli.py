@@ -218,6 +218,11 @@ def test_witness_rejects_negative_budget(capsys):
     code, _, _ = run(capsys, "witness", "-d", "1,1,1,1,1", "--pair", "1,2",
                      "--budget", "0")
     assert code == 0  # the deterministic phase alone finds this witness
+    # here only the walk finds one: an exhausted budget exits 1
+    code, out, err = run(capsys, "witness", "-d", "3,1,1,1,3,1", "--pair", "2,3",
+                         "--seed", "2", "--budget", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: no separating witness for (2, 3) within 0 trials")
 
 
 def test_witness_requires_pair(capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
+import rorc.matrices
 from rorc import Composition, ExactMatrix, richardson_element
 from rorc import _kernels
 from rorc.matrices import _is_prime, _rank_bareiss
@@ -188,14 +189,23 @@ def test_field_validation():
     assert _is_prime(2) and _is_prime(32003) and not _is_prime(1)
 
 
-def test_prime_bounded_by_int64_products():
-    # 4 x 4 of p - 1 at p = 2^31 - 1 would wrap int64 in the product kernel
+def test_prime_bounded_by_int64_products(monkeypatch):
+    # 4 x 4 of p - 1 at p = 2^31 - 1 is past the verifier's int64 bound
     p = 2**31 - 1
     with pytest.raises(ValueError, match="2\\^63"):
         ExactMatrix([[p - 1] * 4] * 4, field=f"Fp:{p}")
     # two columns stay below the bound and multiply exactly: 2 (p-1)^2 = 2 mod p
     a = ExactMatrix([[p - 1] * 2] * 2, field=f"Fp:{p}")
     assert a.mul(a).rows == ((2, 2), (2, 2))
+
+    # the bound rejects the Mersenne prime 2^89 - 1 before any trial division
+    def refuse(p):
+        raise AssertionError(f"trial division of {p}")
+
+    monkeypatch.setattr(rorc.matrices, "_is_prime", refuse)
+    with pytest.raises(ValueError, match="2\\^63"):
+        ExactMatrix.from_json_dict(
+            {"n": 2, "field": f"Fp:{2**89 - 1}", "entries": [[0, 1], [0, 0]]})
 
 
 def test_immutability_and_equality():
@@ -232,8 +242,15 @@ def rank_by_fractions_mod(rows, p) -> int:
     return rank
 
 
+def pivot_rank(mats, p):
+    """Ranks over F_p of a batch ``(B, r, c)`` reduced mod p: the pivot count
+    of the kernel's elimination under no row bound."""
+    return (_kernels._eliminate(mats, p, [0] * mats.shape[2]) < mats.shape[1]).sum(1)
+
+
 @pytest.mark.parametrize("p", [2, 3, 32003])
 def test_rank_mod_batches_match_inverse_oracle(p):
+    """The pivot count, and the exact layer, rank batches of every shape."""
     rng = np.random.default_rng(73 + p)
     for _ in range(40):
         count = int(rng.integers(1, 6))
@@ -244,12 +261,12 @@ def test_rank_mod_batches_match_inverse_oracle(p):
             # rank-deficient products (r x k)(k x c)
             k = int(rng.integers(0, min(r, c) + 1))
             mats = (rng.integers(0, p, size=(count, r, k), dtype=np.int64)
-                    @ rng.integers(0, p, size=(count, k, c), dtype=np.int64))
+                    @ rng.integers(0, p, size=(count, k, c), dtype=np.int64)) % p
         expected = [rank_by_fractions_mod(m.tolist(), p) for m in mats]
         before = mats.copy()
-        assert _kernels.rank_mod(mats, p).tolist() == expected
-        assert _kernels.rank_mod(mats[0], p) == expected[0]
+        assert pivot_rank(mats, p).tolist() == expected
         assert np.array_equal(mats, before)  # the input is not modified
+        assert [ExactMatrix(m.tolist(), f"Fp:{p}").rank() for m in mats] == expected
 
 
 def test_rank_mod_member_without_pivot_keeps_its_matrix():
@@ -259,7 +276,7 @@ def test_rank_mod_member_without_pivot_keeps_its_matrix():
         [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
         [[1, 0, 0], [1, 1, 0], [0, 0, 1]],
     ], dtype=np.int64)
-    assert _kernels.rank_mod(mats, 5).tolist() == [2, 3]
+    assert pivot_rank(mats, 5).tolist() == [2, 3]
 
 
 def test_matmul_mod_matches_integer_products():
@@ -364,13 +381,16 @@ def test_decode_matrices_spot_check():
 @given(data=st.data(), p=st.sampled_from([2, 3, 4093, 32003, 1_000_003]),
        count=st.integers(1, 4), r=st.integers(1, 6), c=st.integers(1, 6))
 def test_rank_mod_matches_sympy_over_gf_p(data, p, count, r, c):
+    """The kernel's pivot count and ExactMatrix, two eliminations, agree with
+    sympy's rank over GF(p)."""
     entries = st.lists(st.lists(st.integers(0, p - 1), min_size=c, max_size=c),
                        min_size=r, max_size=r)
     mats = [data.draw(entries) for _ in range(count)]
     field = GF(p)
     expected = [DomainMatrix([[field(v) for v in row] for row in m], (r, c), field).rank()
                 for m in mats]
-    assert _kernels.rank_mod(np.array(mats, dtype=np.int64), p).tolist() == expected
+    assert pivot_rank(np.array(mats, dtype=np.int64), p).tolist() == expected
+    assert [ExactMatrix(m, f"Fp:{p}").rank() for m in mats] == expected
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -383,11 +403,11 @@ def test_pivots_count_the_rank_of_every_leading_submatrix(data, p, count, r, c):
     rng = np.random.default_rng(seed)
     mats = (rng.integers(0, p, size=(count, r, k), dtype=np.int64)
             @ rng.integers(0, p, size=(count, k, c), dtype=np.int64)) % p
-    pivots = _kernels._eliminate(mats, p)
+    pivots = _kernels._eliminate(mats, p, [0] * c)
     for rows in range(1, r + 1):
         for cols in range(1, c + 1):
             inside = (pivots[:, :cols] < rows).sum(1)
-            assert inside.tolist() == _kernels.rank_mod(mats[:, :rows, :cols], p).tolist()
+            assert inside.tolist() == pivot_rank(mats[:, :rows, :cols], p).tolist()
 
 
 @pytest.mark.parametrize("parts, wide", [
@@ -422,11 +442,12 @@ def test_row_bound_keeps_the_pivots_of_every_corner(parts, wide, p):
         # the rows above the bound are zero in their column
         assert not corner[:, np.arange(nr)[:, None] < np.array(first)].any()
         before = corner.copy()
-        free = _kernels._eliminate(corner, p)
+        free = _kernels._eliminate(corner, p, [0] * nc)
         bounded = _kernels._eliminate(corner, p, first)
         assert np.array_equal(corner, before)
         assert np.array_equal(bounded, free)
-        assert ((bounded < nr).sum(1) == _kernels.rank_mod(corner, p)).all()
+        assert (bounded < nr).sum(1).tolist() == [
+            ExactMatrix(m.tolist(), f"Fp:{p}").rank() for m in corner]
 
 
 def _exact_window_table(mats, d, pairs, kmax, p):

@@ -350,7 +350,7 @@ def test_stratum_flags_match_in_stratum():
         d = Composition.of(*(rng.randint(1, 3) for _ in range(rng.randint(2, 5))))
         tab = window_tables(d)
         diagrams = [_random_line_diagram(rng, d) for _ in range(4)]
-        mats = np.stack([g.to_matrix().to_numpy() for g in diagrams])
+        mats = np.array([g.to_matrix().rows for g in diagrams])
         flags = stratum_flags(defect_flags(rank_tables(mats, tab, 32003), tab), tab)
         for b, g in enumerate(diagrams):
             a = g.to_matrix()
@@ -367,7 +367,7 @@ def test_rank_tables_match_bareiss_on_line_diagrams(p):
         d = Composition.of(*(rng.randint(1, 4) for _ in range(rng.randint(1, 6))))
         tab = window_tables(d)
         diagrams = [_random_line_diagram(rng, d) for _ in range(3)]
-        table = rank_tables(np.stack([g.to_matrix().to_numpy() for g in diagrams]), tab, p)
+        table = rank_tables(np.array([g.to_matrix().rows for g in diagrams]), tab, p)
         for b, g in enumerate(diagrams):
             a = g.to_matrix()
             for pi, (i, j) in enumerate(tab.pairs):
@@ -549,3 +549,46 @@ def test_witness_runs_no_mod_p_kernel(monkeypatch):
         want = ExactMatrix.from_json_dict(
             json.loads((golden / f"{name}.json").read_text())["matrix"])
         assert witness(d, pair, seed=seed) == want
+
+
+def test_exact_layer_runs_no_mod_p_kernel(monkeypatch):
+    """Over F_p, ExactMatrix and the membership predicates run no batched
+    kernel, and they agree with the verifier's kernel tables on the
+    lemma_below_threshold counterexamples of a sampled running-example run."""
+    import rorc._kernels
+    from rorc import ExperimentConfig, run_checks
+
+    p, d = 32003, RUNNING
+    cfg = ExperimentConfig(d=d, mode="sample", fieldsize=p, trials=20, seed=3)
+    below = next(c for c in run_checks(cfg, ("lemmas",)).checks
+                 if c.name == "lemma_below_threshold")
+    mats = [ExactMatrix.from_json_dict(v["matrix"]) for v in below.violations]
+    assert len(mats) == 5 and {a.field for a in mats} == {f"Fp:{p}"}
+    tab = window_tables(d)
+    ranks = rank_tables(np.array([a.rows for a in mats]), tab, p)
+    defects = defect_flags(ranks, tab)
+    stratum = stratum_flags(defects, tab)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact layer ran a mod-p kernel")
+
+    for name in ("_eliminate", "matmul_mod", "window_rank_table", "decode_matrices"):
+        monkeypatch.setattr(rorc._kernels, name, refuse)
+    _exact_defects.cache_clear()
+    lam = sorted(lambda_pairs(d))
+    for b, a in enumerate(mats):
+        # the full window (1, t) is A: its row holds rank(A^k) for 0 < k < t
+        powers = [d.n, *ranks[b, tab.full_index].tolist(), 0]
+        assert [a.power(k).rank() for k in range(d.t + 1)] == powers
+        jordan = a.jordan_type()
+        assert [sum(s >= k for s in jordan) for k in range(1, d.t + 1)] == [
+            r - s for r, s in zip(powers, powers[1:])]
+        assert defect_profile(a, d) == [
+            (*tab.pairs[pi], int(k) + 1) for pi, k in zip(*np.nonzero(defects[b]))]
+        assert [[rank_defect(a, d, i, j, k) for k in range(1, tab.kmax + 1)]
+                for i, j in tab.pairs] == defects[b].tolist()
+        assert [in_stratum(a, d, i, j) for i, j in tab.pairs] == stratum[b].tolist()
+        members = {pq for pq in lam if stratum[b, tab.pairs.index(pq)]}
+        assert [separates(a, d, pq) for pq in lam] == [members == {pq} for pq in lam]
+        if b == 0:
+            assert members == {(2, 5), (3, 7)}

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import rorc.verify
 from rorc import (
     Composition,
     ConfigError,
@@ -47,12 +48,20 @@ def test_config_validation():
     assert cfg.free_dim == 8
 
 
-def test_config_bounds_field_by_int64_products():
+def test_config_bounds_field_by_int64_products(monkeypatch):
     with pytest.raises(ConfigError, match="2\\^63"):
         ExperimentConfig(d=Composition.of(2, 2, 2, 2), fieldsize=2147483647)
     running = ExperimentConfig(d=Composition.of(7, 5, 2, 3, 5, 1, 2, 6, 5),
                                fieldsize=32003)
     assert running.d.n == 36
+
+    # the bound rejects the Mersenne prime 2^89 - 1 before any trial division
+    def refuse(p):
+        raise AssertionError(f"trial division of {p}")
+
+    monkeypatch.setattr(rorc.verify, "_is_prime", refuse)
+    with pytest.raises(ConfigError, match="2\\^63"):
+        ExperimentConfig(d=Composition.of(1, 1), fieldsize=2**89 - 1)
 
 
 def test_exhaustive_trivial_cases():
@@ -150,6 +159,47 @@ def test_lemma_below_threshold_reports_known_counterexamples():
     assert not low.passed
     assert low.counts["violations"] > 0
     assert low.violations[0]["kind"] == "below_threshold"
+
+
+def test_theorem_violations_are_recorded_and_recertify(monkeypatch):
+    """With lambda_pairs cleared from the verifier's tables, every defective
+    matrix is uncovered: both theorem reducers record it, each exhaustive
+    index decodes to its matrix, and the exact layer, with the mod-p kernels
+    refused, finds every recorded matrix defective."""
+    import dataclasses
+
+    from rorc import _kernels, defect_profile
+
+    def no_components(d):
+        tab = window_tables(d)
+        return dataclasses.replace(tab, lam=np.zeros_like(tab.lam))
+
+    monkeypatch.setattr(rorc.verify, "window_tables", no_components)
+    scan = ExperimentConfig(d=Composition.of(1, 1, 1), mode="exhaustive", fieldsize=2)
+    exhaustive = _check(run_checks(scan, ("theorem",)), "theorem_exhaustive")
+    assert not exhaustive.passed and exhaustive.counts["uncovered"] == 6
+    assert [v["index"] for v in exhaustive.violations] == [0, 1, 2, 3, 4]
+    pos_r, pos_c = window_tables(scan.d).positions.T
+    for v in exhaustive.violations:
+        decoded = _kernels.decode_matrices(v["index"], 1, 2, pos_r, pos_c, scan.d.n)
+        assert decoded[0].tolist() == v["matrix"]["entries"]
+    sample = ExperimentConfig(d=Composition.of(2, 1, 2), fieldsize=2, trials=50, seed=1)
+    report = run_checks(sample, ("theorem",))
+    generic = _check(report, "generic_sampling")
+    forced = _check(report, "forced_defect_coverage")
+    assert not generic.passed and not forced.passed
+    assert [v["kind"] for v in generic.violations] == ["generic_violation"] * 5
+    assert [v["kind"] for v in forced.violations] == ["uncovered_defective"] * 5
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact layer ran a mod-p kernel")
+
+    for name in ("_eliminate", "matmul_mod", "window_rank_table", "decode_matrices"):
+        monkeypatch.setattr(_kernels, name, refuse)
+    for cfg, check in ((scan, exhaustive), (sample, generic), (sample, forced)):
+        for v in check.violations:
+            assert v["matrix"]["field"] == "Fp:2"
+            assert defect_profile(ExactMatrix.from_json_dict(v["matrix"]), cfg.d)
 
 
 def test_component_count_check():
