@@ -6,9 +6,9 @@ the seed from --seed, else the RORC_SEED environment variable, else 0; it
 must be >= 0, and no other command reads RORC_SEED.  JSON written with
 --json / --out is deterministic for a fixed invocation: it carries no timing.
 
-``main`` builds the argparse tree (``build_parser``) once per process, on its
-first call, and reuses it: each parse starts from a fresh namespace, and
-RORC_SEED is read per call.
+``build_parser`` is cached: ``main`` builds the argparse tree once per
+process, on its first call, and reuses it.  Each parse starts from a fresh
+namespace, and RORC_SEED is read per call.
 """
 
 from __future__ import annotations
@@ -86,8 +86,11 @@ def _dumps(obj, nl: str = "\n") -> str:
 
 def _emit(payload: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out: {exc}") from exc
     else:
         print(payload)
 
@@ -220,6 +223,7 @@ def _cmd_witness(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rorc",
@@ -270,14 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command == "witness" and not args.pair:
             raise ConfigError("witness requires --pair i,j")
         return args.func(args)

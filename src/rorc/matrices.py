@@ -44,8 +44,8 @@ def _normalize_field(field: str, ncols: int) -> tuple[str, int | None]:
         if p < 2:
             raise ValueError(f"modulus must be at least 2, got {p}")
         if ncols * (p - 1) ** 2 >= 2 ** 63:    # checked first: it caps trial division
-            raise ValueError(f"Fp:{p} is too large for {ncols} columns: "
-                             "the int64 kernels need ncols*(p-1)^2 < 2^63")
+            raise ValueError(f"Fp:{p} is too large for {ncols} columns: the verifier's "
+                             "field bound ncols*(p-1)^2 < 2^63 keeps the primality test short")
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         return field, p

@@ -273,100 +273,80 @@ def _batches(cfg: ExperimentConfig, tab: WindowTables):
                          covered[rows], richardson[rows], defective[rows], excess[rows])
 
 
-def _record(violations: list, tag: str, mat: np.ndarray, q: int, **extra) -> None:
-    if len(violations) < _VIOLATION_CAP:
+def _record(violations: list, tag: str, b: _Batch, flag: np.ndarray, q: int,
+            indexed: bool = True) -> None:
+    """Record the rows of ``b`` that ``flag`` marks, until ``violations``
+    holds _VIOLATION_CAP records; an indexed record carries the row's index
+    in its population."""
+    for r in np.nonzero(flag)[0][:_VIOLATION_CAP - len(violations)]:
         # populations are reduced mod q, within the int64 bound ExperimentConfig checks
-        matrix = {"n": len(mat), "field": f"Fp:{q}", "entries": mat.tolist()}
-        violations.append({"kind": tag, "matrix": matrix, **extra})
+        record = {"kind": tag, "matrix": {"n": len(b.mats[r]), "field": f"Fp:{q}",
+                                          "entries": b.mats[r].tolist()}}
+        if indexed:
+            record["index"] = int(b.first + r)
+        violations.append(record)
 
 
-class _ExhaustiveTheorem:
-    """The defective matrices of all of F_q^free_dim are exactly the union of
-    the component strata, and the rest are of generic type."""
+# population: (check, count key -> flag summed into it, violation kind -> flag)
+_THEOREM = {
+    "exhaustive": ("theorem_exhaustive", {
+        "total": "rows", "richardson": "richardson", "defective": "defective",
+        "covered": "covered", "uncovered": "uncovered", "rank_excess": "excess",
+        "richardson_defective": "richardson_defective",
+        "richardson_in_stratum": "richardson_in_stratum",
+    }, {"uncovered_defective": "uncovered", "richardson_defective": "richardson_defective",
+        "rank_excess": "excess"}),
+    "generic": ("generic_sampling", {
+        "trials": "rows", "richardson": "richardson", "defective_uncovered": "uncovered",
+    }, {"generic_violation": "bad"}),
+    "forced": ("forced_defect_coverage", {
+        "trials": "rows", "defective": "defective", "covered": "covered",
+        "uncovered": "uncovered", "soundness_failures": "unsound",
+    }, {"forced_defect_unsound": "unsound", "uncovered_defective": "uncovered"}),
+}
+
+
+class _Theorem:
+    """Every defective matrix of a population lies in a component stratum,
+    every other one is of generic type, no window rank exceeds the dense
+    orbit's, and a forced matrix carries the defect it was built with."""
 
     def __init__(self, cfg: ExperimentConfig, tab: WindowTables):
         self.q = cfg.fieldsize
         self.lam = tab.lam
-        self.lam_pairs = [pq for pq, on in zip(tab.pairs, tab.lam) if on]
-        self.counts = {
-            "total": 0, "richardson": 0, "defective": 0, "covered": 0,
-            "uncovered": 0, "rank_excess": 0, "richardson_defective": 0,
-            "richardson_in_stratum": 0,
-            "per_stratum": {f"{i},{j}": 0 for i, j in self.lam_pairs},
-        }
-        self.violations: list = []
+        self.strata = [f"{i},{j}" for (i, j), on in zip(tab.pairs, tab.lam) if on]
+        self.checks: dict[str, CheckResult] = {}
 
     def feed(self, b: _Batch) -> None:
-        counts = self.counts
-        uncovered = b.defective & ~b.covered
-        rich_def = b.richardson & b.defective
-        counts["total"] += b.mats.shape[0]
-        counts["richardson"] += int(b.richardson.sum())
-        counts["defective"] += int(b.defective.sum())
-        counts["covered"] += int(b.covered.sum())
-        counts["uncovered"] += int(uncovered.sum())
-        counts["rank_excess"] += int(b.excess.sum())
-        counts["richardson_defective"] += int(rich_def.sum())
-        counts["richardson_in_stratum"] += int((b.richardson & b.covered).sum())
-        member = b.stratum[:, self.lam].sum(axis=0)
-        for (i, j), hits in zip(self.lam_pairs, member):
-            counts["per_stratum"][f"{i},{j}"] += int(hits)
-        for tag, bad in (("uncovered_defective", uncovered),
-                         ("richardson_defective", rich_def), ("rank_excess", b.excess)):
-            for r in np.nonzero(bad)[0]:
-                _record(self.violations, tag, b.mats[r], self.q, index=int(b.first + r))
-
-    def results(self) -> list[CheckResult]:
-        counts = self.counts
-        passed = (
-            counts["uncovered"] == 0
-            and counts["rank_excess"] == 0
-            and counts["richardson_defective"] == 0
-            and counts["richardson_in_stratum"] == 0
-            and counts["richardson"] + counts["defective"] == counts["total"]
-        )
-        return [CheckResult("theorem_exhaustive", passed, counts, self.violations)]
-
-
-class _SampledTheorem:
-    """Records the generic-type frequency of uniform matrices and demands
-    that every forced-defect matrix lies in some component stratum."""
-
-    def __init__(self, cfg: ExperimentConfig, tab: WindowTables):
-        self.q = cfg.fieldsize
-        self.checks: list[CheckResult] = []
-
-    def feed(self, b: _Batch) -> None:
-        uncovered = b.defective & ~b.covered
-        rich_def = b.richardson & b.defective
-        trials = b.mats.shape[0]
-        violations: list = []
+        name, counted, recorded = _THEOREM[b.population]
+        rows = len(b.mats)
+        f = {"rows": np.ones(rows, dtype=bool), "richardson": b.richardson,
+             "defective": b.defective, "covered": b.covered, "excess": b.excess,
+             "uncovered": b.defective & ~b.covered,
+             "richardson_defective": b.richardson & b.defective,
+             "richardson_in_stratum": b.richardson & b.covered,
+             "unsound": np.zeros(rows, dtype=bool) if b.forced is None
+             else ~b.defects[np.arange(rows), b.forced[:, 0], b.forced[:, 1] - 1]}
+        f["bad"] = (f["uncovered"] | b.excess | f["richardson_defective"] | f["unsound"]
+                    | f["richardson_in_stratum"] | ~(b.richardson | b.defective))
+        if name not in self.checks:
+            self.checks[name] = CheckResult(name, True, dict.fromkeys(counted, 0))
+        check = self.checks[name]
+        counts = check.counts
+        for key, flag in counted.items():
+            counts[key] += int(np.count_nonzero(f[flag]))
+        if b.population == "exhaustive":
+            per = counts.setdefault("per_stratum", dict.fromkeys(self.strata, 0))
+            for key, hits in zip(self.strata, b.stratum[:, self.lam].sum(axis=0).tolist()):
+                per[key] += hits
         if b.population == "generic":
-            bad = uncovered | b.excess | rich_def
-            counts = {"trials": trials, "richardson": int(b.richardson.sum()),
-                      "defective_uncovered": int(uncovered.sum())}
-            counts["richardson_frequency"] = counts["richardson"] / trials
-            for r in np.nonzero(bad)[0]:
-                _record(violations, "generic_violation", b.mats[r], self.q, index=int(r))
-            self.checks.append(CheckResult("generic_sampling", not bad.any(), counts, violations))
-            return
-        pi, k = b.forced.T
-        unsound = ~b.defects[np.arange(trials), pi, k - 1]
-        counts = {
-            "trials": trials,
-            "defective": int(b.defective.sum()),
-            "covered": int(b.covered.sum()),
-            "uncovered": int(uncovered.sum()),
-            "soundness_failures": int(unsound.sum()),
-        }
-        for tag, bad in (("forced_defect_unsound", unsound), ("uncovered_defective", uncovered)):
-            for r in np.nonzero(bad)[0]:
-                _record(violations, tag, b.mats[r], self.q, index=int(r))
-        passed = not (unsound.any() or uncovered.any() or b.excess.any() or rich_def.any())
-        self.checks.append(CheckResult("forced_defect_coverage", passed, counts, violations))
+            counts["richardson_frequency"] = counts["richardson"] / counts["trials"]
+        check.passed = check.passed and not f["bad"].any()
+        for tag, flag in recorded.items():
+            _record(check.violations, tag, b, f[flag], self.q)
 
     def results(self) -> list[CheckResult]:
-        return self.checks
+        return list(self.checks.values())
 
 
 _LEMMAS = ("below_threshold", "above_threshold", "outside_gamma", "absorbed")
@@ -418,18 +398,17 @@ class _Lemmas:
         power = np.arange(1, tab.kmax + 1)
         self.low = power < tab.kappas[:, None]
         self.high = (power > tab.kappas[:, None]) & self.flank.any(axis=1)[:, None]
-        self.population = 0
-        self.totals = {name: 0 for name in _LEMMAS}
-        self.violations: dict[str, list] = {name: [] for name in _LEMMAS}
+        self.lemmas = {name: CheckResult(f"lemma_{name}", True,
+                                         {"population": 0, "violations": 0})
+                       for name in _LEMMAS}
 
     def feed(self, b: _Batch) -> None:
-        self.population += b.mats.shape[0]
         verdicts = _lemma_violations(b, self.tab, self.low, self.high, self.flank)
-        for name in _LEMMAS:
-            bad = verdicts[name]
-            self.totals[name] += int(bad.sum())
-            for r in np.nonzero(bad)[0]:
-                _record(self.violations[name], name, b.mats[r], self.q)
+        for name, check in self.lemmas.items():
+            check.counts["population"] += len(b.mats)
+            check.counts["violations"] += int(np.count_nonzero(verdicts[name]))
+            check.passed = check.counts["violations"] == 0
+            _record(check.violations, name, b, verdicts[name], self.q, indexed=False)
 
     def results(self) -> list[CheckResult]:
         d = self.d
@@ -463,13 +442,7 @@ class _Lemmas:
             {"pairs": (d.t * (d.t - 1)) // 2, "violations": len(kt_bad)},
             [{"kind": "kappa_tableau", "pair": list(v)} for v in kt_bad[:_VIOLATION_CAP]],
         ))
-
-        for name in _LEMMAS:
-            checks.append(CheckResult(
-                f"lemma_{name}", self.totals[name] == 0,
-                {"population": self.population, "violations": self.totals[name]},
-                self.violations[name]))
-        return checks
+        return checks + list(self.lemmas.values())
 
 
 _CHECKS = ("counts", "theorem", "lemmas")
@@ -490,12 +463,8 @@ def run_checks(cfg: ExperimentConfig, checks=("theorem", "lemmas")) -> Verificat
         raise ConfigError(f"unknown checks {sorted(unknown)}")
     tab = window_tables(cfg.d)
     results = check_component_count(cfg).checks if "counts" in checks else []
-    reducers = []
-    if "theorem" in checks:
-        theorem = _ExhaustiveTheorem if cfg.mode == "exhaustive" else _SampledTheorem
-        reducers.append(theorem(cfg, tab))
-    if "lemmas" in checks:
-        reducers.append(_Lemmas(cfg, tab))
+    reducers = [reducer(cfg, tab) for name, reducer in
+                (("theorem", _Theorem), ("lemmas", _Lemmas)) if name in checks]
     if reducers:
         for batch in _batches(cfg, tab):
             for reducer in reducers:
@@ -544,37 +513,31 @@ def check_component_count(cfg: ExperimentConfig) -> VerificationReport:
 
     for _ in range(cfg.trials):
         d = random_composition(rng, max_t=7, max_part=5, min_t=1)
-        lam = lambda_pairs(d)
-        size = len(lam)
-        if size > d.t - 1:
-            counts["bound_violations"] += 1
-            if len(violations) < _VIOLATION_CAP:
-                violations.append({"kind": "bound", "d": list(d.parts), "size": size})
-        if not excluded_pairs_ok(d, lam):
-            counts["pair_exclusion_failures"] += 1
-            if len(violations) < _VIOLATION_CAP:
-                violations.append({"kind": "pair_exclusion", "d": list(d.parts)})
-        mono = Composition(tuple(sorted(d.parts)))
-        if len(lambda_pairs(mono)) != mono.t - 1:
-            counts["monotone_equality_failures"] += 1
-            if len(violations) < _VIOLATION_CAP:
-                violations.append({"kind": "monotone", "d": list(mono.parts)})
         distinct = Composition(tuple(
             int(v) for v in rng.permutation(
                 rng.choice(np.arange(1, 25), size=d.t, replace=False))
         ))
-        if len(lambda_pairs(distinct)) != distinct.t - 1:
-            counts["distinct_equality_failures"] += 1
-            if len(violations) < _VIOLATION_CAP:
-                violations.append({"kind": "distinct", "d": list(distinct.parts)})
+        mono = Composition(tuple(sorted(d.parts)))
+        lam = lambda_pairs(d)
+        # the four rules, in the order a trial records them
+        for key, failed, record in (
+            ("bound_violations", len(lam) > d.t - 1,
+             {"kind": "bound", "d": list(d.parts), "size": len(lam)}),
+            ("pair_exclusion_failures", not excluded_pairs_ok(d, lam),
+             {"kind": "pair_exclusion", "d": list(d.parts)}),
+            ("monotone_equality_failures", len(lambda_pairs(mono)) != mono.t - 1,
+             {"kind": "monotone", "d": list(mono.parts)}),
+            ("distinct_equality_failures", len(lambda_pairs(distinct)) != distinct.t - 1,
+             {"kind": "distinct", "d": list(distinct.parts)}),
+        ):
+            if failed:
+                counts[key] += 1
+                if len(violations) < _VIOLATION_CAP:
+                    violations.append(record)
 
-    passed = all(
-        counts[k] == 0
-        for k in ("bound_violations", "monotone_equality_failures",
-                  "distinct_equality_failures", "pair_exclusion_failures")
-    )
+    # the first failure is always recorded
     return VerificationReport(cfg.to_json_dict(), [
-        CheckResult("component_count", passed, counts, violations)
+        CheckResult("component_count", not violations, counts, violations)
     ])
 
 

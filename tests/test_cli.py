@@ -145,6 +145,17 @@ def test_verify_invalid_config(capsys):
     assert code == 2  # infeasible under the default budget
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "-d", "2,1,2"),
+    ("verify", "-d", "2,1,2", "--mode", "exhaustive", "--json"),
+])
+def test_unwritable_out_exits_2(capsys, tmp_path, argv):
+    # a directory, or a file in a missing directory, is a bad --out, not a violation
+    for out in (tmp_path, tmp_path / "missing" / "x.json"):
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 2 and "cannot write --out" in err
+
+
 def test_witness_command(capsys, tmp_path):
     out_path = tmp_path / "w.json"
     code, out, _ = run(capsys, "witness", "-d", "1,1,1,1,1", "--pair", "1,2",

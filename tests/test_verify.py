@@ -163,7 +163,7 @@ def test_lemma_below_threshold_reports_known_counterexamples():
 
 def test_theorem_violations_are_recorded_and_recertify(monkeypatch):
     """With lambda_pairs cleared from the verifier's tables, every defective
-    matrix is uncovered: both theorem reducers record it, each exhaustive
+    matrix is uncovered: the theorem reducer records it, each exhaustive
     index decodes to its matrix, and the exact layer, with the mod-p kernels
     refused, finds every recorded matrix defective."""
     import dataclasses
@@ -200,6 +200,41 @@ def test_theorem_violations_are_recorded_and_recertify(monkeypatch):
         for v in check.violations:
             assert v["matrix"]["field"] == "Fp:2"
             assert defect_profile(ExactMatrix.from_json_dict(v["matrix"]), cfg.d)
+
+
+def test_symbolic_violations_are_counted_and_capped(monkeypatch):
+    # with every window rank forced to 0 and kappa to 0, every window power
+    # k <= j - i breaks rank positivity and every pair breaks the box count
+    monkeypatch.setattr(rorc.verify, "max_window_rank", lambda d, i, j, k: 0)
+    monkeypatch.setattr(rorc.verify, "kappa", lambda d, i, j: 0)
+    cfg = ExperimentConfig(d=Composition.of(1, 1, 1, 1), mode="exhaustive", fieldsize=2)
+    rep = run_checks(cfg, ("lemmas",))
+    positivity = _check(rep, "empty_stratum_symbolic")
+    identity = _check(rep, "kappa_tableau_identity")
+    assert not positivity.passed and not identity.passed
+    assert positivity.counts == {"windows": 6, "violations": 10}
+    assert identity.counts == {"pairs": 6, "violations": 6}
+    assert len(positivity.violations) == len(identity.violations) == 5
+    assert positivity.violations[0] == {"kind": "rank_positivity", "window": (1, 2, 1, 0)}
+    assert identity.violations[0] == {"kind": "kappa_tableau", "pair": [1, 2]}
+
+
+def test_component_count_violations_are_counted_and_capped(monkeypatch):
+    # with every pair taken for a component, the census finds all four rules
+    # broken; the records keep the order in which the trials break them
+    from itertools import combinations
+
+    monkeypatch.setattr(rorc.verify, "lambda_pairs",
+                        lambda d: frozenset(combinations(range(1, d.t + 1), 2)))
+    check = check_component_count(ExperimentConfig(d=(2, 1, 2), trials=50, seed=0)).checks[0]
+    assert not check.passed
+    assert check.counts == {
+        "trials": 50, "bound_violations": 36, "monotone_equality_failures": 36,
+        "distinct_equality_failures": 36, "pair_exclusion_failures": 23,
+    }
+    assert [v["kind"] for v in check.violations] == [
+        "bound", "pair_exclusion", "monotone", "distinct", "bound"]
+    assert check.violations[0] == {"kind": "bound", "d": [1, 2, 3, 2, 4, 5, 1], "size": 21}
 
 
 def test_component_count_check():
