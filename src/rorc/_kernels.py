@@ -8,7 +8,8 @@ entry sums n terms of at most (p-1)^2.  Elimination works on a batch-last
 modular inverses) and delayed reduction (FFLAS-FFPACK; Dumas-Giorgi-Pernet,
 ACM TOMS 2008): a step reduces only the pivot column and row, and takes the
 bound B on the live entries, p-1 at first, to B*(p-1) + (p-1)^2; the live
-block is reduced only when that would pass 2^63 - 1.
+block is reduced only after the update that the next one would carry past
+2^63 - 1.
 
 The elimination takes columns in order, pivots on the topmost free row with a
 nonzero entry and only ever adds a row to rows below it.  So it keeps the
@@ -46,8 +47,9 @@ def _eliminate(m: np.ndarray, p: int, first) -> np.ndarray:
     Returns ``(B, c)`` with the pivot row of each column, or r where the
     column has none; it works on a batch-last copy (see above).  A free-row
     mask replaces row swaps; a member without a pivot in the current column
-    is left unchanged.  Free rows above the pivot are zero in its column, so
-    only rows below it change by more than a nonzero scale.
+    is left unchanged (its pivot scale is 1, and no row of it is retired).
+    Free rows above the pivot are zero in its column, so only rows below it
+    change by more than a nonzero scale.
 
     ``first`` is a nonincreasing per-column row bound: rows above
     ``first[col]`` are zero in column ``col`` and in every earlier column
@@ -55,33 +57,52 @@ def _eliminate(m: np.ndarray, p: int, first) -> np.ndarray:
     only rows ``first[col]:``.  The rows it skips are zero up to ``col`` and
     were skipped by every earlier step, so skipping them differs from the full
     step by a nonzero row scale: the pivots are the same.
+
+    A step reads the pivot row once, its pivot included, and writes its
+    product into one preallocated buffer.  The live block is reduced after
+    the update that the next one would carry past 2^63 - 1, so the step after
+    a reduction (and the first) reads reduced entries and reduces neither its
+    column nor its pivot row.  Pivots depend only on residues, so where the
+    reductions fall does not change them.
     """
     nb, nr, nc = m.shape
     w = m.transpose(1, 2, 0).copy()
     members = np.arange(nb)
     free = np.ones((nr, nb), dtype=bool)
     pivots = np.full((nc, nb), nr, dtype=np.int64)
+    product = np.empty_like(w)
     bound = p - 1
     for col, top in enumerate(first):
-        column = _mod(w[top:, col], p)
+        column = w[top:, col]
+        if bound >= p:
+            column = _mod(column, p)
         rfree = free[top:]
-        cand = rfree & (column != 0)
+        cand = np.logical_and(rfree, column)
         has = cand.any(0)
         if not has.any():
             continue
         piv = cand.argmax(0)
-        pivots[col] = np.where(has, piv + top, nr)
-        pv = np.where(has, column[piv, members], 1)
-        rfree[piv, members] &= ~has
-        f = np.where(rfree, column, 0)
+        row = w[top:, col:][piv, :, members]     # (B, 1 + live columns)
+        if bound >= p:
+            row = _mod(row, p)
+        if has.all():
+            pivots[col] = piv + top
+            rfree[piv, members] = False
+            pv = row[:, 0]
+        else:
+            on = has.nonzero()[0]
+            pivots[col, on] = piv[on] + top
+            rfree[piv[on], on] = False
+            pv = np.where(has, row[:, 0], 1)
         live = w[top:, col + 1:]
-        pivot_row = _mod(live[piv, :, members].T, p)
-        bound = bound * (p - 1) + (p - 1) ** 2
-        if bound >= 2**63:
-            live -= live // p * p
-            bound = 2 * (p - 1) ** 2
+        prod = product[:live.shape[0], :live.shape[1]]
+        np.multiply((column * rfree)[:, None], row[:, 1:].T, out=prod)
         live *= pv
-        live -= f[:, None] * pivot_row
+        live -= prod
+        bound = bound * (p - 1) + (p - 1) ** 2
+        if bound * (p - 1) + (p - 1) ** 2 >= 2**63:    # the next update could wrap
+            live -= live // p * p
+            bound = p - 1
     return pivots.T
 
 

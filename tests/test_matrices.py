@@ -277,6 +277,23 @@ def test_rank_mod_member_without_pivot_keeps_its_matrix():
         [[1, 0, 0], [1, 1, 0], [0, 0, 1]],
     ], dtype=np.int64)
     assert pivot_rank(mats, 5).tolist() == [2, 3]
+    # over 7 columns the live block is reduced after every third update at
+    # 32003, every second at 1000003 and every one at 1147878283 (the largest
+    # prime with 7(p-1)^2 < 2^63), so reductions fall between steps in which
+    # some members have no pivot: a zero column, or one that repeats a
+    # multiple of an earlier column (nonzero only in retired rows)
+    for p in (32003, 1000003, 1147878283):
+        rng = np.random.default_rng(p)
+        mats = rng.integers(0, p, size=(14, 6, 7), dtype=np.int64)
+        for b, m in enumerate(mats):
+            m[:, b % 7] = 0
+            c = (b + 3) % 7
+            if c:
+                m[:, c] = m[:, c - 1] * int(rng.integers(1, p)) % p
+        pivots = _kernels._eliminate(mats, p, [0] * 7)
+        assert ((pivots == 6).any(0) & (pivots < 6).any(0)).all()
+        assert pivot_rank(mats, p).tolist() == [
+            ExactMatrix(m.tolist(), f"Fp:{p}").rank() for m in mats]
 
 
 def test_matmul_mod_matches_integer_products():

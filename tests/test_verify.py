@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -28,6 +29,7 @@ from rorc.verify import (
     _generic_sample,
     _Lemmas,
     _lemma_violations,
+    _populations,
     compositions_of,
     random_composition,
 )
@@ -207,6 +209,8 @@ def test_symbolic_violations_are_counted_and_capped(monkeypatch):
     # k <= j - i breaks rank positivity and every pair breaks the box count
     monkeypatch.setattr(rorc.verify, "max_window_rank", lambda d, i, j, k: 0)
     monkeypatch.setattr(rorc.verify, "kappa", lambda d, i, j: 0)
+    # past the plan cache, so the patched functions are read and not kept
+    monkeypatch.setattr(rorc.verify, "_plan", rorc.verify._plan.__wrapped__)
     cfg = ExperimentConfig(d=Composition.of(1, 1, 1, 1), mode="exhaustive", fieldsize=2)
     rep = run_checks(cfg, ("lemmas",))
     positivity = _check(rep, "empty_stratum_symbolic")
@@ -374,3 +378,66 @@ def test_lemma_masks_match_pointwise_definitions():
                 for name, bad in expected.items():
                     seen[name] |= bad
     assert seen["below_threshold"]
+
+
+RUNNING = (7, 5, 2, 3, 5, 1, 2, 6, 5)
+
+
+def test_covered_implies_defective_and_every_matrix_is_generic_or_defective():
+    # the two rules the theorem reducer leaves out of its verdict: a covered
+    # matrix is defective at kappa, and one that is not of generic type is
+    # defective in the full window
+    for cfg in (
+        *(ExperimentConfig(d=d, mode="exhaustive", fieldsize=q)
+          for d in ((1, 3, 2), (2, 2, 1)) for q in (2, 3)),
+        ExperimentConfig(d=RUNNING, fieldsize=32003, trials=20, seed=3),
+        ExperimentConfig(d=(4,), fieldsize=32003, trials=20, seed=3),
+        ExperimentConfig(d=(3,), mode="exhaustive", fieldsize=3),
+    ):
+        batches = list(_batches(cfg, window_tables(cfg.d)))
+        assert batches
+        for b in batches:
+            assert not (b.covered & ~b.defective).any()
+            assert (b.richardson | b.defective).all()
+
+
+# SHA-256 of the sampled populations below (matrix bytes, then the forced
+# (pair, k) rows), recorded before the forced sample drew its window entries
+# as one vector per trial
+POPULATION_DIGEST = "bdad0def5486dcea3f14cc5f8abd68df2ba86dc890df077cbf62ad99f5b8a598"
+
+
+def test_sampled_populations_match_digest():
+    # the report goldens record at most five counterexamples per check; this
+    # pins every matrix of the generic and forced samples
+    configs = [dict(d=RUNNING, fieldsize=32003, trials=20, seed=s) for s in range(3)] + [
+        dict(d=(1, 3, 2), fieldsize=3, trials=20, seed=0),
+        dict(d=(3, 3, 3), fieldsize=2, trials=20, seed=0),
+        dict(d=(2, 1), fieldsize=32003, trials=20, seed=0),
+        dict(d=(5,), fieldsize=32003, trials=20, seed=0),
+        dict(d=(1, 1, 1, 1, 1, 1), fieldsize=1000003, trials=20, seed=0),
+    ]
+    digest = hashlib.sha256()
+    for kw in configs:
+        cfg = ExperimentConfig(**kw)
+        for mats, parts in _populations(cfg, window_tables(cfg.d)):
+            digest.update(np.ascontiguousarray(mats, dtype="<i8").tobytes())
+            for _, _, _, forced in parts:
+                if forced is not None:
+                    digest.update(np.ascontiguousarray(forced, dtype="<i8").tobytes())
+    assert digest.hexdigest() == POPULATION_DIGEST
+
+
+def test_plan_results_are_fresh_copies():
+    # the symbolic checks come from the cached per-composition plan; a report
+    # that is changed after the run must not reach the next one
+    cfg = ExperimentConfig(d=(1, 1, 1, 1), mode="exhaustive", fieldsize=2)
+    first = run_checks(cfg, ("lemmas",))
+    before = json.dumps(first.to_json_dict())
+    for check in first.checks:
+        check.passed = False
+        check.counts["violations"] = -1
+        check.violations.append({"kind": "edited"})
+    second = run_checks(cfg, ("lemmas",))
+    assert json.dumps(second.to_json_dict()) == before
+    assert rorc.verify._plan(window_tables(cfg.d)) is rorc.verify._plan(window_tables(cfg.d))
