@@ -13,19 +13,11 @@ wall-clock timing.  The sampled populations are drawn from streams keyed by
 (seed, phase).  A generic trial is a pure function of (seed, trial index); a
 forced trial also depends on the trial count, since its window, power and
 broken edge are drawn after all of the forced sample's background entries.
-
-What a run derives from the composition alone (the lemma masks, the two
-symbolic checks, the Lambda strata names and the forced sample's window
-edges and chains) is one ``_plan`` per window table, cached and bounded like
-the tables themselves, so a process that verifies a composition again
-rebuilds none of it.
 """
 
 from __future__ import annotations
 
-from copy import deepcopy
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -141,99 +133,6 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# the per-composition plan
-
-class _Window(NamedTuple):
-    """The forced sample's view of one window: its block rows lo:hi, the
-    positions of the complete diagram's edges inside it (in sorted edge
-    order), and per power k the chains longer than k, each as the positions
-    of its edges in that order."""
-
-    lo: int
-    hi: int
-    rows: np.ndarray
-    cols: np.ndarray
-    chains: tuple[tuple[tuple[int, ...], ...], ...]
-
-
-class _Plan(NamedTuple):
-    """What a run derives from its window table alone; read-only."""
-
-    flank: np.ndarray               # (P, P) Q = (i, m) or (m, j), m a small intermediate of P
-    low: np.ndarray                 # (P, kmax) powers below kappa
-    high: np.ndarray                # (P, kmax) powers above kappa, pairs with a small intermediate
-    symbolic: tuple[CheckResult, ...]   # empty_stratum_symbolic, kappa_tableau_identity
-    strata: tuple[str, ...]         # the Lambda pairs as "i,j"
-    windows: tuple[_Window, ...]    # per pair
-
-
-def _symbolic_checks(d: Composition) -> tuple[CheckResult, CheckResult]:
-    """The checks that need no matrices: window rank positivity and the
-    box-count identity between kappa and the shared tableau row."""
-    # window rank positivity: r(i,j,k) > 0 exactly for k <= j - i
-    pos_bad = []
-    for i in range(1, d.t):
-        for j in range(i + 1, d.t + 1):
-            for k in range(1, d.t + 1):
-                r = max_window_rank(d, i, j, k)
-                if (r > 0) != (k <= j - i):
-                    pos_bad.append((i, j, k, r))
-    positivity = CheckResult(
-        "empty_stratum_symbolic", not pos_bad,
-        {"windows": (d.t * (d.t - 1)) // 2, "violations": len(pos_bad)},
-        [{"kind": "rank_positivity", "window": v} for v in pos_bad[:_VIOLATION_CAP]],
-    )
-
-    # kappa vs the shared row of the maximal tableau
-    tb = richardson_tableau(d)
-    kt_bad = []
-    for i in range(1, d.t):
-        for j in range(i + 1, d.t + 1):
-            row = tb.rows[shared_row(d, i, j) - 1]
-            between = sum(1 for v in row if i < v < j)
-            if between != kappa(d, i, j) - 1:
-                kt_bad.append((i, j))
-    identity = CheckResult(
-        "kappa_tableau_identity", not kt_bad,
-        {"pairs": (d.t * (d.t - 1)) // 2, "violations": len(kt_bad)},
-        [{"kind": "kappa_tableau", "pair": list(v)} for v in kt_bad[:_VIOLATION_CAP]],
-    )
-    return positivity, identity
-
-
-def _window(d: Composition, i: int, j: int, edges: list[tuple[int, int]]) -> _Window:
-    lo, hi = d.offsets[i - 1], d.offsets[j]
-    inside = [(u, v) for u, v in edges if lo < u <= hi and lo < v <= hi]
-    position = {e: n for n, e in enumerate(inside)}
-    chains = [tuple(position[vertex_id(d, a, h), vertex_id(d, b, h)]
-                    for a, b in zip(columns, columns[1:]))
-              for h, columns in enumerate(window_chains(d, i, j), start=1)]
-    rows, cols = np.array(inside, dtype=np.int64).reshape(-1, 2).T - 1
-    return _Window(lo, hi, rows, cols, tuple(
-        tuple(c for c in chains if len(c) >= k) for k in range(1, j - i + 1)))
-
-
-# bounded like the window tables it is keyed by
-@lru_cache(maxsize=128)
-def _plan(tab: WindowTables) -> _Plan:
-    d = tab.d
-    index = {pq: n for n, pq in enumerate(tab.pairs)}
-    flank = np.zeros((len(tab.pairs), len(tab.pairs)), dtype=bool)
-    for n, (i, j) in enumerate(tab.pairs):
-        for m in low_intermediates(d, i, j):
-            flank[n, [index[i, m], index[m, j]]] = True
-    power = np.arange(1, tab.kmax + 1)
-    low = power < tab.kappas[:, None]
-    high = (power > tab.kappas[:, None]) & flank.any(axis=1)[:, None]
-    edges = sorted(complete_diagram(d).edges)
-    windows = tuple(_window(d, i, j, edges) for i, j in tab.pairs)
-    for a in (flank, low, high, *(x for w in windows for x in (w.rows, w.cols))):
-        a.flags.writeable = False
-    return _Plan(flank, low, high, _symbolic_checks(d),
-                 tuple(f"{i},{j}" for (i, j), on in zip(tab.pairs, tab.lam) if on), windows)
-
-
-# ---------------------------------------------------------------------------
 # populations
 
 def _exhaustive_total(cfg: ExperimentConfig) -> int:
@@ -295,20 +194,30 @@ def _forced_sample(cfg: ExperimentConfig, tab: WindowTables, out: np.ndarray) ->
     draw: numpy's bounded integers are the same drawn one at a time or as a
     vector, so the stream is that of an entry-by-entry draw.
     """
+    d = cfg.d
     rng = seeded_stream(cfg.seed, 1)
     p = cfg.fieldsize
-    windows = _plan(tab).windows
+    o = d.offsets
+    n = d.n
+    # the complete diagram's edges (u, v) in sorted order, each with the flat
+    # index of its entry; u < v, and no two share a u
+    base_edges = [(u, v, (u - 1) * n + v - 1) for u, v in sorted(complete_diagram(d).edges)]
     # start from fully random nilradical matrices, then carve out each window
     mats = _uniform(rng, cfg, tab, out)
     forced = []
     for b in range(mats.shape[0]):
-        pi = int(rng.integers(len(windows)))
-        lo, hi, rows, cols, chains = windows[pi]
-        k = int(rng.integers(1, len(chains) + 1))
-        chain = chains[k - 1][int(rng.integers(len(chains[k - 1])))]
-        kept = np.arange(len(rows)) != chain[int(rng.integers(len(chain)))]
+        pi = int(rng.integers(len(tab.pairs)))
+        i, j = tab.pairs[pi]
+        k = int(rng.integers(1, j - i + 1))
+        chains = [(h, cols) for h, cols in enumerate(window_chains(d, i, j), start=1)
+                  if len(cols) > k]
+        h, cols = chains[int(rng.integers(len(chains)))]
+        e = int(rng.integers(len(cols) - 1))
+        removed = vertex_id(d, cols[e], h)      # the broken edge leaves it
+        lo, hi = o[i - 1], o[j]
+        kept = [f for u, v, f in base_edges if lo < u and v <= hi and u != removed]
         mats[b, lo:hi, lo:hi] = 0
-        mats[b, rows[kept], cols[kept]] = rng.integers(0, p, size=len(rows) - 1)
+        np.put(mats[b], kept, rng.integers(0, p, size=len(kept)))
         forced.append((pi, k))
     return np.array(forced, dtype=np.int64).reshape(-1, 2)
 
@@ -411,7 +320,7 @@ class _Theorem:
     def __init__(self, cfg: ExperimentConfig, tab: WindowTables):
         self.q = cfg.fieldsize
         self.lam = tab.lam
-        self.strata = _plan(tab).strata
+        self.strata = [f"{i},{j}" for (i, j), on in zip(tab.pairs, tab.lam) if on]
         self.checks: dict[str, CheckResult] = {}
 
     def feed(self, b: _Batch) -> None:
@@ -486,11 +395,17 @@ class _Lemmas:
     identity between kappa and the shared tableau row)."""
 
     def __init__(self, cfg: ExperimentConfig, tab: WindowTables):
+        self.d = cfg.d
         self.q = cfg.fieldsize
         self.tab = tab
-        plan = _plan(tab)
-        self.flank, self.low, self.high, self.symbolic = (
-            plan.flank, plan.low, plan.high, plan.symbolic)
+        index = {pq: n for n, pq in enumerate(tab.pairs)}
+        self.flank = np.zeros((len(tab.pairs), len(tab.pairs)), dtype=bool)
+        for n, (i, j) in enumerate(tab.pairs):
+            for m in low_intermediates(self.d, i, j):
+                self.flank[n, [index[i, m], index[m, j]]] = True
+        power = np.arange(1, tab.kmax + 1)
+        self.low = power < tab.kappas[:, None]
+        self.high = (power > tab.kappas[:, None]) & self.flank.any(axis=1)[:, None]
         self.lemmas = {name: CheckResult(f"lemma_{name}", True,
                                          {"population": 0, "violations": 0})
                        for name in _LEMMAS}
@@ -504,9 +419,38 @@ class _Lemmas:
             _record(check.violations, name, b, verdicts[name], self.q, indexed=False)
 
     def results(self) -> list[CheckResult]:
-        # fresh copies: the plan's results are shared by every run
-        return [CheckResult(c.name, c.passed, dict(c.counts), deepcopy(c.violations))
-                for c in self.symbolic] + list(self.lemmas.values())
+        d = self.d
+        checks = []
+
+        # window rank positivity: r(i,j,k) > 0 exactly for k <= j - i
+        pos_bad = []
+        for i in range(1, d.t):
+            for j in range(i + 1, d.t + 1):
+                for k in range(1, d.t + 1):
+                    r = max_window_rank(d, i, j, k)
+                    if (r > 0) != (k <= j - i):
+                        pos_bad.append((i, j, k, r))
+        checks.append(CheckResult(
+            "empty_stratum_symbolic", not pos_bad,
+            {"windows": (d.t * (d.t - 1)) // 2, "violations": len(pos_bad)},
+            [{"kind": "rank_positivity", "window": v} for v in pos_bad[:_VIOLATION_CAP]],
+        ))
+
+        # kappa vs the shared row of the maximal tableau
+        tb = richardson_tableau(d)
+        kt_bad = []
+        for i in range(1, d.t):
+            for j in range(i + 1, d.t + 1):
+                row = tb.rows[shared_row(d, i, j) - 1]
+                between = sum(1 for v in row if i < v < j)
+                if between != kappa(d, i, j) - 1:
+                    kt_bad.append((i, j))
+        checks.append(CheckResult(
+            "kappa_tableau_identity", not kt_bad,
+            {"pairs": (d.t * (d.t - 1)) // 2, "violations": len(kt_bad)},
+            [{"kind": "kappa_tableau", "pair": list(v)} for v in kt_bad[:_VIOLATION_CAP]],
+        ))
+        return checks + list(self.lemmas.values())
 
 
 _CHECKS = ("counts", "theorem", "lemmas")

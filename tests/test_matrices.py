@@ -307,6 +307,20 @@ def test_matmul_mod_matches_integer_products():
         for x, y, z in zip(a.tolist(), b.tolist(), got.tolist()):
             assert z == [[sum(x[i][l] * y[l][j] for l in range(m)) % p
                           for j in range(k)] for i in range(n)]
+    # 23726561 is the largest prime with 16(p-1)^2 < 2^53: an inner dimension
+    # of 16 takes the float64 product at its exactness bound (entries all
+    # p - 1, or all p - 2, included), 17 the int64 one; 759250111, the
+    # largest prime with 16(p-1)^2 < 2^63, takes the int64 product at the
+    # field bound
+    for p, m in ((23726561, 16), (23726561, 17), (759250111, 16), (2, 8), (32003, 36)):
+        a = rng.integers(0, p, size=(4, 5, m), dtype=np.int64)
+        b = rng.integers(0, p, size=(4, m, 6), dtype=np.int64)
+        a[0] = b[0] = p - 1
+        a[1] = b[1] = p - 2     # odd sums of products
+        got = _kernels.matmul_mod(a, b, p)
+        for x, y, z in zip(a.tolist(), b.tolist(), got.tolist()):
+            assert z == [[sum(x[i][l] * y[l][j] for l in range(m)) % p
+                          for j in range(6)] for i in range(5)]
 
 
 def _random_nilradical(rng: random.Random, d: Composition, field: str) -> ExactMatrix:

@@ -209,8 +209,6 @@ def test_symbolic_violations_are_counted_and_capped(monkeypatch):
     # k <= j - i breaks rank positivity and every pair breaks the box count
     monkeypatch.setattr(rorc.verify, "max_window_rank", lambda d, i, j, k: 0)
     monkeypatch.setattr(rorc.verify, "kappa", lambda d, i, j: 0)
-    # past the plan cache, so the patched functions are read and not kept
-    monkeypatch.setattr(rorc.verify, "_plan", rorc.verify._plan.__wrapped__)
     cfg = ExperimentConfig(d=Composition.of(1, 1, 1, 1), mode="exhaustive", fieldsize=2)
     rep = run_checks(cfg, ("lemmas",))
     positivity = _check(rep, "empty_stratum_symbolic")
@@ -426,18 +424,3 @@ def test_sampled_populations_match_digest():
                 if forced is not None:
                     digest.update(np.ascontiguousarray(forced, dtype="<i8").tobytes())
     assert digest.hexdigest() == POPULATION_DIGEST
-
-
-def test_plan_results_are_fresh_copies():
-    # the symbolic checks come from the cached per-composition plan; a report
-    # that is changed after the run must not reach the next one
-    cfg = ExperimentConfig(d=(1, 1, 1, 1), mode="exhaustive", fieldsize=2)
-    first = run_checks(cfg, ("lemmas",))
-    before = json.dumps(first.to_json_dict())
-    for check in first.checks:
-        check.passed = False
-        check.counts["violations"] = -1
-        check.violations.append({"kind": "edited"})
-    second = run_checks(cfg, ("lemmas",))
-    assert json.dumps(second.to_json_dict()) == before
-    assert rorc.verify._plan(window_tables(cfg.d)) is rorc.verify._plan(window_tables(cfg.d))
