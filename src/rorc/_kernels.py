@@ -6,10 +6,14 @@ callers keep n*(p-1)^2 below 2^63: products reduce once per product, and an
 entry sums n terms of at most (p-1)^2.  Elimination works on a batch-last
 ``(r, c, B)`` copy with cross-multiplied rows (r <- pivot*r - f*pivot_row, no
 modular inverses) and delayed reduction (FFLAS-FFPACK; Dumas-Giorgi-Pernet,
-ACM TOMS 2008): a step reduces only the pivot column and row, and takes the
-bound B on the live entries, p-1 at first, to B*(p-1) + (p-1)^2; the live
-block is reduced only after the update that the next one would carry past
-2^63 - 1.
+ACM TOMS 2008), in the narrowest signed integer type whose largest value M
+admits one update of reduced entries, 2(p-1)^2 <= M: int8 up to p = 7,
+int16 up to 127, int32 up to 32749, int64 above.  A step reduces only the
+pivot column and row, and takes the bound B on the live entries, p-1 at
+first, to B*(p-1) + (p-1)^2; the live block is reduced only after the
+update that the next one would carry past M.  So it is reduced after every
+126th update at p = 2 (int8; never in a corner of fewer than 127 columns),
+every 4th at 3 (int8) and every update at 32003 (int32).
 
 The elimination takes columns in order, pivots on the topmost free row with a
 nonzero entry and only ever adds a row to rows below it.  So it keeps the
@@ -41,11 +45,24 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     return x - x // p * p
 
 
+# the signed integer types an elimination can work in, narrowest first, each
+# with its largest value
+_TYPES = tuple((t, int(np.iinfo(t).max)) for t in (np.int8, np.int16, np.int32, np.int64))
+
+
+def _work_type(p: int) -> tuple[type, int]:
+    """The narrowest type of _TYPES whose largest value admits one
+    cross-multiplied update of entries reduced mod p, 2(p-1)^2, and that
+    value; int64 above p = 32749 (callers keep p within its range)."""
+    return next((t for t in _TYPES if 2 * (p - 1) ** 2 <= t[1]), _TYPES[-1])
+
+
 def _eliminate(m: np.ndarray, p: int, first) -> np.ndarray:
     """Pivot rows of a batch ``(B, r, c)`` reduced mod p; ``m`` is unchanged.
 
     Returns ``(B, c)`` with the pivot row of each column, or r where the
-    column has none; it works on a batch-last copy (see above).  A free-row
+    column has none; it works on a batch-last copy in the type of
+    ``_work_type(p)`` (see above).  A free-row
     mask replaces row swaps; a member without a pivot in the current column
     is left unchanged (its pivot scale is 1, and no row of it is retired).
     Free rows above the pivot are zero in its column, so only rows below it
@@ -60,13 +77,15 @@ def _eliminate(m: np.ndarray, p: int, first) -> np.ndarray:
 
     A step reads the pivot row once, its pivot included, and writes its
     product into one preallocated buffer.  The live block is reduced after
-    the update that the next one would carry past 2^63 - 1, so the step after
-    a reduction (and the first) reads reduced entries and reduces neither its
-    column nor its pivot row.  Pivots depend only on residues, so where the
-    reductions fall does not change them.
+    the update that the next one would carry past the type's largest value,
+    so the step after a reduction (and the first) reads reduced entries and
+    reduces neither its column nor its pivot row.  Pivots depend only on
+    residues, so neither the type nor where the reductions fall changes
+    them; ``x - (x // p) * p`` is exact even where ``(x // p) * p`` wraps.
     """
     nb, nr, nc = m.shape
-    w = m.transpose(1, 2, 0).copy()
+    dtype, limit = _work_type(p)
+    w = m.transpose(1, 2, 0).astype(dtype, order="C")
     members = np.arange(nb)
     free = np.ones((nr, nb), dtype=bool)
     pivots = np.full((nc, nb), nr, dtype=np.int64)
@@ -95,7 +114,7 @@ def _eliminate(m: np.ndarray, p: int, first) -> np.ndarray:
         live *= pv
         live -= prod
         bound = bound * (p - 1) + (p - 1) ** 2
-        if bound * (p - 1) + (p - 1) ** 2 >= 2**63:    # the next update could wrap
+        if bound * (p - 1) + (p - 1) ** 2 > limit:    # the next update could wrap
             live -= live // p * p
             bound = p - 1
     return pivots.T

@@ -25,11 +25,10 @@ import numpy as np
 from .compositions import (
     Composition,
     as_composition,
-    kappa,
     lambda_pairs,
     low_intermediates,
 )
-from .diagrams import complete_diagram, max_window_rank, vertex_id, window_chains
+from .diagrams import _max_window_rank, complete_diagram, vertex_id, window_chains
 from .matrices import DEFAULT_PRIME, _is_prime
 from .strata import (
     WindowTables,
@@ -44,6 +43,7 @@ from .tableaux import richardson_tableau, shared_row
 REPORT_SCHEMA = "rorc.report/1"
 _VIOLATION_CAP = 5
 _BATCH = 4096
+_ENTRIES = 2**20    # matrix entries in one sampled array: 8 MB of int64
 
 
 class ConfigError(ValueError):
@@ -173,29 +173,24 @@ def _uniform(rng: np.random.Generator, cfg: ExperimentConfig, tab: WindowTables,
     return out
 
 
-def _generic_sample(cfg: ExperimentConfig, tab: WindowTables, out=None) -> np.ndarray:
-    """The generic sample, into ``out`` when one is given."""
-    if out is None:
-        out = np.zeros((cfg.trials, cfg.d.n, cfg.d.n), dtype=np.int64)
-    return _uniform(seeded_stream(cfg.seed, 0), cfg, tab, out)
-
-
-def _forced_sample(cfg: ExperimentConfig, tab: WindowTables, out: np.ndarray) -> np.ndarray:
+def _forced_sample(cfg: ExperimentConfig, tab: WindowTables, out: np.ndarray,
+                   background: np.random.Generator, draws: np.random.Generator) -> np.ndarray:
     """Defective matrices: pick a window and power, break one edge of a
     contributing chain of the complete window diagram, keep the window
     supported on the broken diagram (which pins the rank below the maximum
     for any entry values), randomize everything outside the window.
 
     Writes one trial per row of the zeroed ``out`` and returns forced, where
-    forced[b] = (pair_index, k).  Without a window (t = 1) nothing can be
-    forced, and ``out`` must be empty.
+    forced[b] = (pair_index, k).  The background entries of every row come
+    from ``background``, then the window, power, chain, broken edge and kept
+    entries of each trial from ``draws``.  Without a window (t = 1) nothing
+    can be forced, and ``out`` must be empty.
 
     A trial's kept window entries, in sorted edge order, come from one vector
     draw: numpy's bounded integers are the same drawn one at a time or as a
     vector, so the stream is that of an entry-by-entry draw.
     """
     d = cfg.d
-    rng = seeded_stream(cfg.seed, 1)
     p = cfg.fieldsize
     o = d.offsets
     n = d.n
@@ -203,21 +198,21 @@ def _forced_sample(cfg: ExperimentConfig, tab: WindowTables, out: np.ndarray) ->
     # index of its entry; u < v, and no two share a u
     base_edges = [(u, v, (u - 1) * n + v - 1) for u, v in sorted(complete_diagram(d).edges)]
     # start from fully random nilradical matrices, then carve out each window
-    mats = _uniform(rng, cfg, tab, out)
+    mats = _uniform(background, cfg, tab, out)
     forced = []
     for b in range(mats.shape[0]):
-        pi = int(rng.integers(len(tab.pairs)))
+        pi = int(draws.integers(len(tab.pairs)))
         i, j = tab.pairs[pi]
-        k = int(rng.integers(1, j - i + 1))
+        k = int(draws.integers(1, j - i + 1))
         chains = [(h, cols) for h, cols in enumerate(window_chains(d, i, j), start=1)
                   if len(cols) > k]
-        h, cols = chains[int(rng.integers(len(chains)))]
-        e = int(rng.integers(len(cols) - 1))
+        h, cols = chains[int(draws.integers(len(chains)))]
+        e = int(draws.integers(len(cols) - 1))
         removed = vertex_id(d, cols[e], h)      # the broken edge leaves it
         lo, hi = o[i - 1], o[j]
         kept = [f for u, v, f in base_edges if lo < u and v <= hi and u != removed]
         mats[b, lo:hi, lo:hi] = 0
-        np.put(mats[b], kept, rng.integers(0, p, size=len(kept)))
+        np.put(mats[b], kept, draws.integers(0, p, size=len(kept)))
         forced.append((pi, k))
     return np.array(forced, dtype=np.int64).reshape(-1, 2)
 
@@ -244,22 +239,47 @@ def _populations(cfg: ExperimentConfig, tab: WindowTables):
     """Yield (matrices, parts) in scan order: one array to rank, and the
     populations it holds as (population, first_index, rows, forced).
 
-    Exhaustive mode yields each decode batch alone.  Sample mode yields one
+    Exhaustive mode yields each decode batch alone.  Sample mode draws in
+    chunks of _BATCH trials, or fewer where their matrices would hold more
+    than _ENTRIES entries.  When the trials fit in one chunk it yields one
     array whose first cfg.trials rows are the generic sample and whose other
-    rows are the forced sample (cfg.trials of them, none when t = 1).  Each
-    sample is drawn in place, from its own stream and in the order it has
-    when drawn alone, so one rank pass serves both.
+    rows are the forced sample (cfg.trials of them, none when t = 1), so one
+    rank pass serves both.  More trials are drawn and yielded a chunk at a
+    time, the generic sample first, so memory does not grow with cfg.trials.
+    Each sample comes from its own stream in the order it has when drawn
+    whole: the generic entries and the forced background entries row by row,
+    then the forced per-trial draws, which a second stream of the forced key
+    makes once it has skipped every background entry.
     """
     if cfg.mode == "exhaustive":
         for first, mats in _exhaustive_batches(cfg, tab):
             yield mats, (("exhaustive", first, slice(None), None),)
-    else:
-        n, trials = cfg.d.n, cfg.trials
-        mats = np.zeros((trials + (trials if tab.pairs else 0), n, n), dtype=np.int64)
-        _generic_sample(cfg, tab, mats[:trials])
-        forced = _forced_sample(cfg, tab, mats[trials:])
-        yield mats, (("generic", 0, slice(0, trials), None),
-                     ("forced", 0, slice(trials, None), forced))
+        return
+    n, trials = cfg.d.n, cfg.trials
+    rows = max(1, min(_BATCH, _ENTRIES // n ** 2))
+    chunks = [(start, min(rows, trials - start)) for start in range(0, trials, rows)]
+    forced_chunks = chunks if tab.pairs else [(0, 0)]   # t = 1: an empty forced sample
+    specs = [("generic", *c) for c in chunks] + [("forced", *c) for c in forced_chunks]
+    arrays = [specs] if len(chunks) == 1 else [[spec] for spec in specs]
+    generic = seeded_stream(cfg.seed, 0)
+    background = draws = seeded_stream(cfg.seed, 1)
+    if len(chunks) > 1:
+        draws = seeded_stream(cfg.seed, 1)
+        for _, count in forced_chunks:
+            draws.integers(0, cfg.fieldsize, size=(count, len(tab.positions)))
+    for spec in arrays:
+        mats = np.zeros((sum(count for _, _, count in spec), n, n), dtype=np.int64)
+        parts, row = [], 0
+        for population, first, count in spec:
+            out = mats[row:row + count]
+            forced = None
+            if population == "generic":
+                _uniform(generic, cfg, tab, out)
+            else:
+                forced = _forced_sample(cfg, tab, out, background, draws)
+            parts.append((population, first, slice(row, row + count), forced))
+            row += count
+        yield mats, tuple(parts)
 
 
 def _batches(cfg: ExperimentConfig, tab: WindowTables):
@@ -419,17 +439,18 @@ class _Lemmas:
             _record(check.violations, name, b, verdicts[name], self.q, indexed=False)
 
     def results(self) -> list[CheckResult]:
-        d = self.d
+        d, tab = self.d, self.tab
         checks = []
 
-        # window rank positivity: r(i,j,k) > 0 exactly for k <= j - i
+        # window rank positivity: r(i,j,k) > 0 exactly for k <= j - i; the
+        # table holds r for k <= j - i, and r(i,j,k) = r(i,j,j-i+1) beyond
         pos_bad = []
-        for i in range(1, d.t):
-            for j in range(i + 1, d.t + 1):
-                for k in range(1, d.t + 1):
-                    r = max_window_rank(d, i, j, k)
-                    if (r > 0) != (k <= j - i):
-                        pos_bad.append((i, j, k, r))
+        for (i, j), ranks in zip(tab.pairs, tab.thresholds.tolist()):
+            beyond = _max_window_rank(d, i, j, j - i + 1)
+            for k in range(1, d.t + 1):
+                r = ranks[k - 1] if k <= j - i else beyond
+                if (r > 0) != (k <= j - i):
+                    pos_bad.append((i, j, k, r))
         checks.append(CheckResult(
             "empty_stratum_symbolic", not pos_bad,
             {"windows": (d.t * (d.t - 1)) // 2, "violations": len(pos_bad)},
@@ -439,12 +460,11 @@ class _Lemmas:
         # kappa vs the shared row of the maximal tableau
         tb = richardson_tableau(d)
         kt_bad = []
-        for i in range(1, d.t):
-            for j in range(i + 1, d.t + 1):
-                row = tb.rows[shared_row(d, i, j) - 1]
-                between = sum(1 for v in row if i < v < j)
-                if between != kappa(d, i, j) - 1:
-                    kt_bad.append((i, j))
+        for (i, j), kap in zip(tab.pairs, tab.kappas.tolist()):
+            row = tb.rows[shared_row(d, i, j) - 1]
+            between = sum(1 for v in row if i < v < j)
+            if between != kap - 1:
+                kt_bad.append((i, j))
         checks.append(CheckResult(
             "kappa_tableau_identity", not kt_bad,
             {"pairs": (d.t * (d.t - 1)) // 2, "violations": len(kt_bad)},

@@ -248,7 +248,43 @@ def pivot_rank(mats, p):
     return (_kernels._eliminate(mats, p, [0] * mats.shape[2]) < mats.shape[1]).sum(1)
 
 
-@pytest.mark.parametrize("p", [2, 3, 32003])
+# the primes on both sides of each change of elimination type (int8 | int16,
+# int16 | int32, int32 | int64) reduce the live block after every update up
+# to each boundary, and less often past it
+BOUNDARY_PRIMES = [7, 11, 127, 131, 32749, 32771]
+
+
+@pytest.mark.parametrize("p, dtype", [
+    (2, np.int8), (3, np.int8), (7, np.int8), (11, np.int16), (127, np.int16),
+    (131, np.int32), (32003, np.int32), (32749, np.int32), (32771, np.int64),
+    (1_000_003, np.int64)])
+def test_elimination_works_in_the_narrowest_admissible_type(p, dtype):
+    # admissible: one cross-multiplied update of reduced entries, 2(p-1)^2,
+    # stays within the type's largest value; no narrower type admits it
+    chosen, top = _kernels._work_type(p)
+    assert chosen is dtype and top == np.iinfo(dtype).max
+    assert 2 * (p - 1) ** 2 <= top
+    assert all(2 * (p - 1) ** 2 > np.iinfo(t).max for t, _ in _kernels._TYPES
+               if np.iinfo(t).max < top)
+
+
+@pytest.mark.parametrize("p, period", [
+    (2, 126), (3, 4), (7, 1), (11, 3), (127, 1), (131, 3), (32003, 1), (32749, 1),
+    (32771, 3), (1_000_003, 2)])
+def test_live_block_is_reduced_only_when_the_next_update_could_wrap(monkeypatch, p, period):
+    # the block is reduced after every period-th update; each step after an
+    # unreduced update reduces its column and its pivot row with _mod, and
+    # the others read reduced entries.  Member 0 pivots in every column.
+    calls = []
+    real = _kernels._mod
+    monkeypatch.setattr(_kernels, "_mod", lambda x, q: calls.append(q) or real(x, q))
+    mats = np.random.default_rng(p).integers(0, p, size=(3, 9, 8), dtype=np.int64)
+    mats[0] = np.eye(9, 8, dtype=np.int64)
+    _kernels._eliminate(mats, p, [0] * 8)
+    assert len(calls) == 2 * sum(1 for step in range(1, 8) if step % period)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, *BOUNDARY_PRIMES])
 def test_rank_mod_batches_match_inverse_oracle(p):
     """The pivot count, and the exact layer, rank batches of every shape."""
     rng = np.random.default_rng(73 + p)
@@ -277,14 +313,19 @@ def test_rank_mod_member_without_pivot_keeps_its_matrix():
         [[1, 0, 0], [1, 1, 0], [0, 0, 1]],
     ], dtype=np.int64)
     assert pivot_rank(mats, 5).tolist() == [2, 3]
-    # over 7 columns the live block is reduced after every third update at
-    # 32003, every second at 1000003 and every one at 1147878283 (the largest
-    # prime with 7(p-1)^2 < 2^63), so reductions fall between steps in which
-    # some members have no pivot: a zero column, or one that repeats a
-    # multiple of an earlier column (nonzero only in retired rows)
-    for p in (32003, 1000003, 1147878283):
+    # over 7 columns the live block is reduced after every update at 7
+    # (int8), 127 (int16), 32003 and 32749 (int32) and 1147878283 (int64;
+    # the largest prime with 7(p-1)^2 < 2^63), and after every second at
+    # 1000003, so reductions fall between steps in which some members have
+    # no pivot: a zero column, or one that repeats a multiple of an earlier
+    # column (nonzero only in retired rows).  Members 0 and 1 start from all
+    # p - 1 and from a checkerboard of p - 1 and 0, whose updates reach
+    # +-(p-1)^2
+    for p in (7, 127, 32003, 32749, 1000003, 1147878283):
         rng = np.random.default_rng(p)
         mats = rng.integers(0, p, size=(14, 6, 7), dtype=np.int64)
+        mats[0] = p - 1
+        mats[1] = np.indices((6, 7)).sum(0) % 2 * (p - 1)
         for b, m in enumerate(mats):
             m[:, b % 7] = 0
             c = (b + 3) % 7
@@ -444,7 +485,7 @@ def test_pivots_count_the_rank_of_every_leading_submatrix(data, p, count, r, c):
 @pytest.mark.parametrize("parts, wide", [
     ((1, 4), True), ((1, 1, 5), True), ((4, 1), False),
     ((7, 5, 2, 3, 5, 1, 2, 6, 5), False)])
-@pytest.mark.parametrize("p", [2, 3, 4093, 32003, 1_000_003])
+@pytest.mark.parametrize("p", [2, 3, 4093, 32003, 1_000_003, *BOUNDARY_PRIMES])
 def test_row_bound_keeps_the_pivots_of_every_corner(parts, wide, p):
     """Under the row bound window_rank_table derives for power k, the one
     elimination loop finds the pivots it finds without a bound, on tall

@@ -21,15 +21,16 @@ from rorc import (
     rank_defect,
     run_checks,
 )
-from rorc.strata import window_tables
+from rorc.strata import seeded_stream, window_tables
 from rorc.verify import (
+    _BATCH,
     _LEMMAS,
     GL5_EXPECTED,
     _batches,
-    _generic_sample,
     _Lemmas,
     _lemma_violations,
     _populations,
+    _uniform,
     compositions_of,
     random_composition,
 )
@@ -206,9 +207,16 @@ def test_theorem_violations_are_recorded_and_recertify(monkeypatch):
 
 def test_symbolic_violations_are_counted_and_capped(monkeypatch):
     # with every window rank forced to 0 and kappa to 0, every window power
-    # k <= j - i breaks rank positivity and every pair breaks the box count
-    monkeypatch.setattr(rorc.verify, "max_window_rank", lambda d, i, j, k: 0)
-    monkeypatch.setattr(rorc.verify, "kappa", lambda d, i, j: 0)
+    # k <= j - i breaks rank positivity and every pair breaks the box count;
+    # the checks read the ranks and kappas of the window table, and the rank
+    # beyond the span from diagrams._max_window_rank
+    from dataclasses import replace
+
+    real = rorc.verify.window_tables
+    monkeypatch.setattr(rorc.verify, "window_tables", lambda d: replace(
+        real(d), thresholds=np.minimum(real(d).thresholds, 0),
+        kappas=np.zeros_like(real(d).kappas)))
+    monkeypatch.setattr(rorc.verify, "_max_window_rank", lambda d, i, j, k: 0)
     cfg = ExperimentConfig(d=Composition.of(1, 1, 1, 1), mode="exhaustive", fieldsize=2)
     rep = run_checks(cfg, ("lemmas",))
     positivity = _check(rep, "empty_stratum_symbolic")
@@ -292,14 +300,20 @@ def test_compositions_of():
     assert len(list(compositions_of(5))) == 16
 
 
+def _generic_rows(cfg: ExperimentConfig) -> np.ndarray:
+    return np.concatenate([mats[rows] for mats, parts in _populations(cfg, window_tables(cfg.d))
+                           for population, _, rows, _ in parts if population == "generic"])
+
+
 def test_generic_sample_is_prefix_stable():
-    # a generic trial is a pure function of (seed, trial index); the forced
-    # sample is not, since its per-trial draws follow all background draws
+    # a generic trial is a pure function of (seed, trial index), drawn in one
+    # array or chunk by chunk; the forced sample is not, since its per-trial
+    # draws follow all background draws
     d = Composition.of(2, 1, 2, 1, 2)
-    tab = window_tables(d)
-    short, long = (_generic_sample(ExperimentConfig(d=d, fieldsize=32003, trials=t, seed=1), tab)
-                   for t in (5, 6))
+    short, long, chunked = (_generic_rows(ExperimentConfig(d=d, fieldsize=32003, trials=t, seed=1))
+                            for t in (5, 6, 2 * _BATCH + 1))
     assert np.array_equal(short, long[:5])
+    assert np.array_equal(long, chunked[:6])
 
 
 def test_sampled_run_ranks_its_population_in_one_pass(monkeypatch):
@@ -321,7 +335,8 @@ def test_sampled_run_ranks_its_population_in_one_pass(monkeypatch):
     generic, forced = _batches(cfg, window_tables(d))
     assert calls[1:] == [60]
     assert generic.mats.base is not None and generic.mats.base is forced.mats.base
-    assert np.array_equal(generic.mats, _generic_sample(cfg, window_tables(d)))
+    alone = _uniform(seeded_stream(3, 0), cfg, window_tables(d), np.zeros((30, 8, 8), dtype=int))
+    assert np.array_equal(generic.mats, alone)
     assert (generic.population, forced.population) == ("generic", "forced")
     assert len(forced.mats) == len(forced.forced) == 30
     calls.clear()
@@ -424,3 +439,46 @@ def test_sampled_populations_match_digest():
                 if forced is not None:
                     digest.update(np.ascontiguousarray(forced, dtype="<i8").tobytes())
     assert digest.hexdigest() == POPULATION_DIGEST
+
+
+def test_sampled_memory_does_not_grow_with_trials():
+    # more trials than one chunk are drawn, ranked and yielded _BATCH at a
+    # time, the generic chunks first: the peak is that of the chunk held by
+    # the consumer, the one being drawn and its entry draws (2.85 chunks
+    # with numpy 2.4), not of the 8 chunks both samples of 4 * _BATCH trials
+    # fill when drawn whole (9.9 with their entry draws)
+    import tracemalloc
+
+    d = Composition.of(2, 1, 2, 1, 2)
+    cfg = ExperimentConfig(d=d, fieldsize=32003, trials=4 * _BATCH, seed=6)
+    tab = window_tables(d)
+    chunk = _BATCH * d.n ** 2 * 8
+    seen = []
+    tracemalloc.start()
+    try:
+        for mats, parts in _populations(cfg, tab):
+            seen += [(population, first, len(mats[rows])) for population, first, rows, _ in parts]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seen == [(population, first, _BATCH) for population in ("generic", "forced")
+                    for first in range(0, 4 * _BATCH, _BATCH)]
+    assert peak < 4 * chunk
+
+
+# SHA-256 of the JSON reports below, with sorted keys, recorded when both
+# samples were still drawn whole into one array
+CHUNKED_REPORT_DIGEST = "893371d74a5307c027071dcfbef36b30b480db178ddde6afa347adeaeca9d8f9"
+
+
+def test_chunked_samples_keep_the_reports():
+    # _BATCH + 7 trials take two chunks per sample of (2,1,2,1,2) and
+    # (1,3,2), two generic chunks and an empty forced one of (5,) (t = 1),
+    # and six chunks per sample of the running example, whose 36 x 36
+    # matrices fill a chunk in fewer rows
+    digest = hashlib.sha256()
+    for kw in (dict(d=(2, 1, 2, 1, 2), fieldsize=32003, seed=4), dict(d=(1, 3, 2), fieldsize=2, seed=0),
+               dict(d=(5,), fieldsize=3, seed=1), dict(d=RUNNING, fieldsize=32003, seed=2)):
+        report = run_checks(ExperimentConfig(trials=_BATCH + 7, **kw), ("theorem", "lemmas"))
+        digest.update(json.dumps(report.to_json_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == CHUNKED_REPORT_DIGEST
