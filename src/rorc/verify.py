@@ -8,6 +8,11 @@ are integer-polynomial conditions, so they are tested over small prime fields
 (exhaustively) and over F_32003 (by sampling); a finite-field counterexample
 is reported as a finding, never auto-dismissed.
 
+One pass serves every check (run_checks): the population is cut into
+arrays, each array is ranked once, its rank table is read into one dict of
+per-row flags (_flags), and each selected check, one row of _ROWS, counts,
+records and fails from that dict.
+
 Reports are deterministic functions of the configuration and carry no
 wall-clock timing.  The sampled populations are drawn from streams keyed by
 (seed, phase).  A generic trial is a pure function of (seed, trial index); a
@@ -18,10 +23,10 @@ broken edge are drawn after all of the forced sample's background entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernels
 from .compositions import (
     Composition,
     as_composition,
@@ -150,20 +155,6 @@ def _exhaustive_total(cfg: ExperimentConfig) -> int:
     return total
 
 
-def _exhaustive_batches(cfg: ExperimentConfig, tab: WindowTables):
-    """Yield (first_index, matrices) covering all of F_q^free_dim."""
-    from . import _kernels
-
-    total = _exhaustive_total(cfg)
-    n = cfg.d.n
-    pos_r, pos_c = tab.positions.T
-    first = 0
-    while first < total:
-        count = min(_BATCH, total - first)
-        yield first, _kernels.decode_matrices(first, count, cfg.fieldsize, pos_r, pos_c, n)
-        first += count
-
-
 def _uniform(rng: np.random.Generator, cfg: ExperimentConfig, tab: WindowTables,
              out: np.ndarray) -> np.ndarray:
     """Uniform nilradical matrices over F_p, written into ``out`` (zeroed,
@@ -218,262 +209,202 @@ def _forced_sample(cfg: ExperimentConfig, tab: WindowTables, out: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# one pass: populations -> one rank table per array -> reducers
-
-class _Batch(NamedTuple):
-    """One ranked batch of a population and the flags every reducer reads."""
-
-    population: str             # "exhaustive" | "generic" | "forced"
-    first: int                  # population index of mats[0]
-    mats: np.ndarray            # (B, n, n)
-    forced: np.ndarray | None   # (B, 2) forced (pair index, k); forced sample only
-    defects: np.ndarray         # (B, P, kmax) window power rank below the dense orbit's
-    stratum: np.ndarray         # (B, P) defective at kappa: in the stratum of the pair
-    covered: np.ndarray         # (B,) in the stratum of some pair of lambda_pairs(d)
-    richardson: np.ndarray      # (B,) full window (1, t) not defective: generic type
-    defective: np.ndarray       # (B,) defective in some window
-    excess: np.ndarray          # (B,) some window power rank above the dense orbit's
-
+# one pass: populations -> one rank table and one flag dict per array -> checks
 
 def _populations(cfg: ExperimentConfig, tab: WindowTables):
     """Yield (matrices, parts) in scan order: one array to rank, and the
-    populations it holds as (population, first_index, rows, forced).
+    populations it holds, in row order, as (population, first_index, rows,
+    forced).
 
-    Exhaustive mode yields each decode batch alone.  Sample mode draws in
-    chunks of _BATCH trials, or fewer where their matrices would hold more
-    than _ENTRIES entries.  When the trials fit in one chunk it yields one
-    array whose first cfg.trials rows are the generic sample and whose other
-    rows are the forced sample (cfg.trials of them, none when t = 1), so one
-    rank pass serves both.  More trials are drawn and yielded a chunk at a
-    time, the generic sample first, so memory does not grow with cfg.trials.
-    Each sample comes from its own stream in the order it has when drawn
-    whole: the generic entries and the forced background entries row by row,
-    then the forced per-trial draws, which a second stream of the forced key
-    makes once it has skipped every background entry.
+    Exhaustive mode yields each decode batch alone.  The sampled population
+    is the generic rows and then the forced rows (cfg.trials each; none are
+    forced when t = 1), cut into arrays of at most _BATCH rows, or fewer
+    where their matrices would hold more than _ENTRIES entries, so memory
+    does not grow with cfg.trials.  Each sample comes from its own stream in
+    the order it has when drawn whole: the generic entries and the forced
+    background entries row by row, then the forced per-trial draws.  When
+    the run takes more than one array, a second stream of the forced key
+    makes those draws once it has skipped every background entry, chunk by
+    chunk.
     """
+    n, trials = cfg.d.n, cfg.trials
     if cfg.mode == "exhaustive":
-        for first, mats in _exhaustive_batches(cfg, tab):
+        total = _exhaustive_total(cfg)
+        pos_r, pos_c = tab.positions.T
+        for first in range(0, total, _BATCH):
+            count = min(_BATCH, total - first)
+            mats = _kernels.decode_matrices(first, count, cfg.fieldsize, pos_r, pos_c, n)
             yield mats, (("exhaustive", first, slice(None), None),)
         return
-    n, trials = cfg.d.n, cfg.trials
-    rows = max(1, min(_BATCH, _ENTRIES // n ** 2))
-    chunks = [(start, min(rows, trials - start)) for start in range(0, trials, rows)]
-    forced_chunks = chunks if tab.pairs else [(0, 0)]   # t = 1: an empty forced sample
-    specs = [("generic", *c) for c in chunks] + [("forced", *c) for c in forced_chunks]
-    arrays = [specs] if len(chunks) == 1 else [[spec] for spec in specs]
+    total = 2 * trials if tab.pairs else trials     # t = 1: nothing can be forced
+    size = max(1, min(_BATCH, _ENTRIES // n ** 2))
+    # (start, mid, stop): the rows of one array, the generic ones before mid
+    cuts = [(start, min(max(trials, start), start + size, total), min(start + size, total))
+            for start in range(0, total, size)]
     generic = seeded_stream(cfg.seed, 0)
     background = draws = seeded_stream(cfg.seed, 1)
-    if len(chunks) > 1:
+    if len(cuts) > 1:
         draws = seeded_stream(cfg.seed, 1)
-        for _, count in forced_chunks:
-            draws.integers(0, cfg.fieldsize, size=(count, len(tab.positions)))
-    for spec in arrays:
-        mats = np.zeros((sum(count for _, _, count in spec), n, n), dtype=np.int64)
-        parts, row = [], 0
-        for population, first, count in spec:
-            out = mats[row:row + count]
-            forced = None
-            if population == "generic":
-                _uniform(generic, cfg, tab, out)
-            else:
-                forced = _forced_sample(cfg, tab, out, background, draws)
-            parts.append((population, first, slice(row, row + count), forced))
-            row += count
+        for _, mid, stop in cuts:
+            draws.integers(0, cfg.fieldsize, size=(stop - mid, len(tab.positions)))
+    for start, mid, stop in cuts:
+        mats = np.zeros((stop - start, n, n), dtype=np.int64)
+        generic_rows, forced_rows = slice(0, mid - start), slice(mid - start, stop - start)
+        parts = []
+        if start < mid:
+            _uniform(generic, cfg, tab, mats[generic_rows])
+            parts.append(("generic", start, generic_rows, None))
+        if mid < stop:
+            forced = _forced_sample(cfg, tab, mats[forced_rows], background, draws)
+            parts.append(("forced", mid - trials, forced_rows, forced))
         yield mats, tuple(parts)
-
-
-def _batches(cfg: ExperimentConfig, tab: WindowTables):
-    """Rank each population array in one pass, derive its flags, and yield
-    one batch of views per population it holds."""
-    full = slice(tab.full_index, tab.full_index + 1)    # empty when t = 1
-    for mats, parts in _populations(cfg, tab):
-        ranks = rank_tables(mats, tab, cfg.fieldsize)
-        defects = defect_flags(ranks, tab)
-        stratum = stratum_flags(defects, tab)
-        covered = stratum[:, tab.lam].any(axis=1)
-        richardson = ~defects[:, full].any(axis=(1, 2))
-        defective = defects.any(axis=(1, 2))
-        excess = ((tab.thresholds >= 0) & (ranks > tab.thresholds)).any(axis=(1, 2))
-        for population, first, rows, forced in parts:
-            yield _Batch(population, first, mats[rows], forced, defects[rows], stratum[rows],
-                         covered[rows], richardson[rows], defective[rows], excess[rows])
-
-
-def _record(violations: list, tag: str, b: _Batch, flag: np.ndarray, q: int,
-            indexed: bool = True) -> None:
-    """Record the rows of ``b`` that ``flag`` marks, until ``violations``
-    holds _VIOLATION_CAP records; an indexed record carries the row's index
-    in its population."""
-    for r in np.nonzero(flag)[0][:_VIOLATION_CAP - len(violations)]:
-        # populations are reduced mod q, within the int64 bound ExperimentConfig checks
-        record = {"kind": tag, "matrix": {"n": len(b.mats[r]), "field": f"Fp:{q}",
-                                          "entries": b.mats[r].tolist()}}
-        if indexed:
-            record["index"] = int(b.first + r)
-        violations.append(record)
-
-
-# population: (check, count key -> flag summed into it, violation kind -> flag)
-_THEOREM = {
-    "exhaustive": ("theorem_exhaustive", {
-        "total": "rows", "richardson": "richardson", "defective": "defective",
-        "covered": "covered", "uncovered": "uncovered", "rank_excess": "excess",
-        "richardson_defective": "richardson_defective",
-        "richardson_in_stratum": "richardson_in_stratum",
-    }, {"uncovered_defective": "uncovered", "richardson_defective": "richardson_defective",
-        "rank_excess": "excess"}),
-    "generic": ("generic_sampling", {
-        "trials": "rows", "richardson": "richardson", "defective_uncovered": "uncovered",
-    }, {"generic_violation": "bad"}),
-    "forced": ("forced_defect_coverage", {
-        "trials": "rows", "defective": "defective", "covered": "covered",
-        "uncovered": "uncovered", "soundness_failures": "unsound",
-    }, {"forced_defect_unsound": "unsound", "uncovered_defective": "uncovered"}),
-}
-
-
-class _Theorem:
-    """Every defective matrix of a population lies in a component stratum,
-    every other one is of generic type, no window rank exceeds the dense
-    orbit's, and a forced matrix carries the defect it was built with."""
-
-    def __init__(self, cfg: ExperimentConfig, tab: WindowTables):
-        self.q = cfg.fieldsize
-        self.lam = tab.lam
-        self.strata = [f"{i},{j}" for (i, j), on in zip(tab.pairs, tab.lam) if on]
-        self.checks: dict[str, CheckResult] = {}
-
-    def feed(self, b: _Batch) -> None:
-        name, counted, recorded = _THEOREM[b.population]
-        rows = len(b.mats)
-        f = {"rows": np.ones(rows, dtype=bool), "richardson": b.richardson,
-             "defective": b.defective, "covered": b.covered, "excess": b.excess,
-             "uncovered": b.defective & ~b.covered,
-             "richardson_defective": b.richardson & b.defective,
-             "richardson_in_stratum": b.richardson & b.covered,
-             "unsound": np.zeros(rows, dtype=bool) if b.forced is None
-             else ~b.defects[np.arange(rows), b.forced[:, 0], b.forced[:, 1] - 1]}
-        # covered implies defective, and a matrix that is not of generic type
-        # is defective in the full window: richardson_in_stratum lies inside
-        # richardson_defective, and every matrix is generic or defective
-        f["bad"] = f["uncovered"] | b.excess | f["richardson_defective"] | f["unsound"]
-        if name not in self.checks:
-            self.checks[name] = CheckResult(name, True, dict.fromkeys(counted, 0))
-        check = self.checks[name]
-        counts = check.counts
-        for key, flag in counted.items():
-            counts[key] += int(np.count_nonzero(f[flag]))
-        if b.population == "exhaustive":
-            per = counts.setdefault("per_stratum", dict.fromkeys(self.strata, 0))
-            for key, hits in zip(self.strata, b.stratum[:, self.lam].sum(axis=0).tolist()):
-                per[key] += hits
-        if b.population == "generic":
-            counts["richardson_frequency"] = counts["richardson"] / counts["trials"]
-        check.passed = check.passed and not f["bad"].any()
-        for tag, flag in recorded.items():
-            _record(check.violations, tag, b, f[flag], self.q)
-
-    def results(self) -> list[CheckResult]:
-        return list(self.checks.values())
 
 
 _LEMMAS = ("below_threshold", "above_threshold", "outside_gamma", "absorbed")
 
 
-def _lemma_violations(b: _Batch, tab: WindowTables, low: np.ndarray,
-                      high: np.ndarray, flank: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-matrix lemma verdicts on a batch; returns a dict of boolean
-    violation arrays.  ``low`` and ``high`` mask the (pair, exponent) cells
-    below and above kappa (``high`` only for pairs with a small intermediate);
-    ``flank[P, Q]`` marks Q = (i, m) or (m, j) for a small intermediate m of
-    P = (i, j).
+def _lemma_masks(d: Composition, tab: WindowTables):
+    """(low, high, flank): ``low`` and ``high`` mask the (pair, exponent)
+    cells below and above kappa (``high`` only for pairs with a small
+    intermediate); ``flank[P, Q]`` marks Q = (i, m) or (m, j) for a small
+    intermediate m of P = (i, j)."""
+    index = {pq: n for n, pq in enumerate(tab.pairs)}
+    flank = np.zeros((len(tab.pairs), len(tab.pairs)), dtype=bool)
+    for n, (i, j) in enumerate(tab.pairs):
+        for m in low_intermediates(d, i, j):
+            flank[n, [index[i, m], index[m, j]]] = True
+    power = np.arange(1, tab.kmax + 1)
+    low = power < tab.kappas[:, None]
+    high = (power > tab.kappas[:, None]) & flank.any(axis=1)[:, None]
+    return low, high, flank
 
-    below_threshold states that a defect at any exponent below the threshold
-    forces the stratum membership itself.  This containment is FALSE in
-    general (a defective inner block can lower a window's first-power rank
-    while its threshold-power rank stays maximal); the harness evaluates it
-    as stated and reports the counterexamples as findings.  above_threshold is
+
+def _flags(ranks: np.ndarray, tab: WindowTables, masks, parts) -> dict[str, np.ndarray]:
+    """Every per-row flag a check counts, records or fails on, for one ranked
+    array and the parts it holds (as yielded by _populations).
+
+    A matrix is defective where a window power's rank falls below the
+    dense orbit's, and in excess where one rises above it; it is of generic
+    type when its full window (1, t) is not defective, covered when it lies
+    in the stratum of a pair of lambda_pairs(d), and unsound when it was
+    forced at (pair, k) and is not defective there.  A theorem check fails
+    on ``bad``: covered implies defective, and a matrix that is not of
+    generic type is defective in the full window, so richardson_in_stratum
+    lies inside richardson_defective and every matrix is generic or
+    defective.
+
+    The four lemma verdicts are the pointwise containments.  below_threshold
+    states that a defect at any exponent below the threshold forces the
+    stratum membership itself.  This containment is FALSE in general (a
+    defective inner block can lower a window's first-power rank while its
+    threshold-power rank stays maximal); the harness evaluates it as stated
+    and reports the counterexamples as findings.  above_threshold is
     evaluated existentially over the admissible flanking targets ("there
     exist"); outside_gamma checks the containment the statement actually
     asserts, membership in some stratum indexed inside gamma_pairs(d) (the
     single-flank routing of the proof is provably too strong).
     """
-    stratum = b.stratum
+    low, high, flank = masks
+    defects = defect_flags(ranks, tab)      # (B, P, kmax)
+    stratum = stratum_flags(defects, tab)   # (B, P): defective at kappa
+    covered = stratum[:, tab.lam].any(axis=1)
+    full = slice(tab.full_index, tab.full_index + 1)    # empty when t = 1
+    richardson = ~defects[:, full].any(axis=(1, 2))
+    defective = defects.any(axis=(1, 2))
+    uncovered = defective & ~covered
+    richardson_defective = richardson & defective
+    excess = ((tab.thresholds >= 0) & (ranks > tab.thresholds)).any(axis=(1, 2))
+    unsound = np.zeros(len(ranks), dtype=bool)
+    for _, _, rows, forced in parts:
+        if forced is not None:
+            unsound[rows] = ~defects[rows][np.arange(len(forced)), forced[:, 0], forced[:, 1] - 1]
     in_flank = stratum @ flank.T    # boolean: some flanking stratum, per pair
     return {
-        "below_threshold": ((b.defects & low).any(axis=2) & ~stratum).any(axis=1),
-        "above_threshold": ((b.defects & high).any(axis=2) & ~in_flank).any(axis=1),
+        "rows": np.ones(len(ranks), dtype=bool), "richardson": richardson,
+        "defective": defective, "covered": covered, "uncovered": uncovered,
+        "excess": excess, "unsound": unsound, "per_stratum": stratum[:, tab.lam],
+        "richardson_defective": richardson_defective,
+        "richardson_in_stratum": richardson & covered,
+        "bad": uncovered | excess | richardson_defective | unsound,
+        "below_threshold": ((defects & low).any(axis=2) & ~stratum).any(axis=1),
+        "above_threshold": ((defects & high).any(axis=2) & ~in_flank).any(axis=1),
         "outside_gamma": stratum[:, ~tab.gamma].any(axis=1)
         & ~stratum[:, tab.gamma].any(axis=1),
-        "absorbed": stratum[:, tab.gamma & ~tab.lam].any(axis=1) & ~b.covered,
+        "absorbed": stratum[:, tab.gamma & ~tab.lam].any(axis=1) & ~covered,
     }
 
 
-class _Lemmas:
-    """Pointwise lemma containments on the population, plus the symbolic
-    checks that need no matrices (window rank positivity and the box-count
-    identity between kappa and the shared tableau row)."""
+def _record(violations: list, kind: str, mats: np.ndarray, flag: np.ndarray, q: int,
+            first: int | None) -> None:
+    """Record the matrices that ``flag`` marks, until ``violations`` holds
+    _VIOLATION_CAP records; with ``first`` set, a record carries the
+    matrix's index in its population."""
+    for r in np.nonzero(flag)[0][:_VIOLATION_CAP - len(violations)]:
+        # populations are reduced mod q, within the int64 bound ExperimentConfig checks
+        record = {"kind": kind, "matrix": {"n": len(mats[r]), "field": f"Fp:{q}",
+                                           "entries": mats[r].tolist()}}
+        if first is not None:
+            record["index"] = int(first + r)
+        violations.append(record)
 
-    def __init__(self, cfg: ExperimentConfig, tab: WindowTables):
-        self.d = cfg.d
-        self.q = cfg.fieldsize
-        self.tab = tab
-        index = {pq: n for n, pq in enumerate(tab.pairs)}
-        self.flank = np.zeros((len(tab.pairs), len(tab.pairs)), dtype=bool)
-        for n, (i, j) in enumerate(tab.pairs):
-            for m in low_intermediates(self.d, i, j):
-                self.flank[n, [index[i, m], index[m, j]]] = True
-        power = np.arange(1, tab.kmax + 1)
-        self.low = power < tab.kappas[:, None]
-        self.high = (power > tab.kappas[:, None]) & self.flank.any(axis=1)[:, None]
-        self.lemmas = {name: CheckResult(f"lemma_{name}", True,
-                                         {"population": 0, "violations": 0})
-                       for name in _LEMMAS}
 
-    def feed(self, b: _Batch) -> None:
-        verdicts = _lemma_violations(b, self.tab, self.low, self.high, self.flank)
-        for name, check in self.lemmas.items():
-            check.counts["population"] += len(b.mats)
-            check.counts["violations"] += int(np.count_nonzero(verdicts[name]))
-            check.passed = check.counts["violations"] == 0
-            _record(check.violations, name, b, verdicts[name], self.q, indexed=False)
+def _symbolic_checks(d: Composition, tab: WindowTables) -> list[CheckResult]:
+    """The lemma checks that need no matrices: window rank positivity and
+    the box-count identity between kappa and the shared tableau row."""
+    # window rank positivity: r(i,j,k) > 0 exactly for k <= j - i; the
+    # table holds r for k <= j - i, and r(i,j,k) = r(i,j,j-i+1) beyond
+    pos_bad = []
+    for (i, j), ranks in zip(tab.pairs, tab.thresholds.tolist()):
+        beyond = _max_window_rank(d, i, j, j - i + 1)
+        for k in range(1, d.t + 1):
+            r = ranks[k - 1] if k <= j - i else beyond
+            if (r > 0) != (k <= j - i):
+                pos_bad.append((i, j, k, r))
 
-    def results(self) -> list[CheckResult]:
-        d, tab = self.d, self.tab
-        checks = []
-
-        # window rank positivity: r(i,j,k) > 0 exactly for k <= j - i; the
-        # table holds r for k <= j - i, and r(i,j,k) = r(i,j,j-i+1) beyond
-        pos_bad = []
-        for (i, j), ranks in zip(tab.pairs, tab.thresholds.tolist()):
-            beyond = _max_window_rank(d, i, j, j - i + 1)
-            for k in range(1, d.t + 1):
-                r = ranks[k - 1] if k <= j - i else beyond
-                if (r > 0) != (k <= j - i):
-                    pos_bad.append((i, j, k, r))
-        checks.append(CheckResult(
+    # kappa vs the shared row of the maximal tableau
+    tb = richardson_tableau(d)
+    kt_bad = []
+    for (i, j), kap in zip(tab.pairs, tab.kappas.tolist()):
+        row = tb.rows[shared_row(d, i, j) - 1]
+        between = sum(1 for v in row if i < v < j)
+        if between != kap - 1:
+            kt_bad.append((i, j))
+    return [
+        CheckResult(
             "empty_stratum_symbolic", not pos_bad,
             {"windows": (d.t * (d.t - 1)) // 2, "violations": len(pos_bad)},
-            [{"kind": "rank_positivity", "window": v} for v in pos_bad[:_VIOLATION_CAP]],
-        ))
-
-        # kappa vs the shared row of the maximal tableau
-        tb = richardson_tableau(d)
-        kt_bad = []
-        for (i, j), kap in zip(tab.pairs, tab.kappas.tolist()):
-            row = tb.rows[shared_row(d, i, j) - 1]
-            between = sum(1 for v in row if i < v < j)
-            if between != kap - 1:
-                kt_bad.append((i, j))
-        checks.append(CheckResult(
+            [{"kind": "rank_positivity", "window": v} for v in pos_bad[:_VIOLATION_CAP]]),
+        CheckResult(
             "kappa_tableau_identity", not kt_bad,
             {"pairs": (d.t * (d.t - 1)) // 2, "violations": len(kt_bad)},
-            [{"kind": "kappa_tableau", "pair": list(v)} for v in kt_bad[:_VIOLATION_CAP]],
-        ))
-        return checks + list(self.lemmas.values())
+            [{"kind": "kappa_tableau", "pair": list(v)} for v in kt_bad[:_VIOLATION_CAP]]),
+    ]
 
 
-_CHECKS = ("counts", "theorem", "lemmas")
+# per selectable check, its rows in report order: (name, population or None
+# for every population, count key -> flag counted into it, violation kind ->
+# flag recorded, failing flag, records indexed)
+_ROWS = {
+    "theorem": (
+        ("theorem_exhaustive", "exhaustive", {
+            "total": "rows", "richardson": "richardson", "defective": "defective",
+            "covered": "covered", "uncovered": "uncovered", "rank_excess": "excess",
+            "richardson_defective": "richardson_defective",
+            "richardson_in_stratum": "richardson_in_stratum", "per_stratum": "per_stratum",
+        }, {"uncovered_defective": "uncovered", "richardson_defective": "richardson_defective",
+            "rank_excess": "excess"}, "bad", True),
+        ("generic_sampling", "generic", {
+            "trials": "rows", "richardson": "richardson", "defective_uncovered": "uncovered",
+        }, {"generic_violation": "bad"}, "bad", True),
+        ("forced_defect_coverage", "forced", {
+            "trials": "rows", "defective": "defective", "covered": "covered",
+            "uncovered": "uncovered", "soundness_failures": "unsound",
+        }, {"forced_defect_unsound": "unsound", "uncovered_defective": "uncovered"}, "bad", True),
+    ),
+    "lemmas": tuple((f"lemma_{name}", None, {"population": "rows", "violations": name},
+                     {name: name}, name, False) for name in _LEMMAS),
+}
+_CHECKS = ("counts", *_ROWS)
 
 
 def run_checks(cfg: ExperimentConfig, checks=("theorem", "lemmas")) -> VerificationReport:
@@ -481,8 +412,10 @@ def run_checks(cfg: ExperimentConfig, checks=("theorem", "lemmas")) -> Verificat
 
     The population follows cfg.mode: all of F_q^free_dim in decode batches
     (exhaustive), or the generic sample and then the forced-defect sample.
-    Each batch is ranked once, and the theorem and lemma reducers read the
-    same flags.  Results come in the order counts, theorem, lemmas.
+    Each array is ranked once into one flag dict, and every check of the
+    population counts, records and fails from it.  Results come in the order
+    counts, theorem (one check per population), lemmas (the two symbolic
+    checks, then the four containments).
     """
     if not checks:
         raise ConfigError("no checks selected")
@@ -490,15 +423,41 @@ def run_checks(cfg: ExperimentConfig, checks=("theorem", "lemmas")) -> Verificat
     if unknown:
         raise ConfigError(f"unknown checks {sorted(unknown)}")
     tab = window_tables(cfg.d)
+    populations = ("exhaustive",) if cfg.mode == "exhaustive" else ("generic", "forced")
     results = check_component_count(cfg).checks if "counts" in checks else []
-    reducers = [reducer(cfg, tab) for name, reducer in
-                (("theorem", _Theorem), ("lemmas", _Lemmas)) if name in checks]
-    if reducers:
-        for batch in _batches(cfg, tab):
-            for reducer in reducers:
-                reducer.feed(batch)
-    for reducer in reducers:
-        results.extend(reducer.results())
+    selected = []
+    for group in ("theorem", "lemmas"):
+        if group in checks:
+            if group == "lemmas":
+                results += _symbolic_checks(cfg.d, tab)
+            for name, population, counted, *rest in _ROWS[group]:
+                if population in (None, *populations):
+                    results.append(CheckResult(name, True, dict.fromkeys(counted, 0)))
+                    selected.append((results[-1], population, counted, *rest))
+    if selected:
+        masks = _lemma_masks(cfg.d, tab)
+        for mats, parts in _populations(cfg, tab):
+            f = _flags(rank_tables(mats, tab, cfg.fieldsize), tab, masks, parts)
+            for population, first, part, _ in parts:
+                for check, wanted, counted, recorded, fail, indexed in selected:
+                    if wanted not in (None, population):
+                        continue
+                    for key, flag in counted.items():
+                        hits = f[flag][part]    # per_stratum is counted per column
+                        axis = 0 if hits.ndim > 1 else None
+                        check.counts[key] += np.count_nonzero(hits, axis=axis)
+                    check.passed = check.passed and not np.count_nonzero(f[fail][part])
+                    for kind, flag in recorded.items():
+                        _record(check.violations, kind, mats[part], f[flag][part],
+                                cfg.fieldsize, first if indexed else None)
+    strata = [f"{i},{j}" for (i, j), on in zip(tab.pairs, tab.lam) if on]
+    for check, *_ in selected:
+        counts = check.counts
+        for key, hits in counts.items():
+            counts[key] = (dict(zip(strata, hits.tolist())) if isinstance(hits, np.ndarray)
+                           else int(hits))
+        if check.name == "generic_sampling":
+            counts["richardson_frequency"] = counts["richardson"] / counts["trials"]
     return VerificationReport(cfg.to_json_dict(), results, len(lambda_pairs(cfg.d)))
 
 

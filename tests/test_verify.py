@@ -21,14 +21,13 @@ from rorc import (
     rank_defect,
     run_checks,
 )
-from rorc.strata import seeded_stream, window_tables
+from rorc.strata import rank_tables, seeded_stream, window_tables
 from rorc.verify import (
     _BATCH,
     _LEMMAS,
     GL5_EXPECTED,
-    _batches,
-    _Lemmas,
-    _lemma_violations,
+    _flags,
+    _lemma_masks,
     _populations,
     _uniform,
     compositions_of,
@@ -332,19 +331,44 @@ def test_sampled_run_ranks_its_population_in_one_pass(monkeypatch):
     cfg = ExperimentConfig(d=d, fieldsize=32003, trials=30, seed=3)
     run_checks(cfg, ("theorem", "lemmas"))
     assert calls == [60]
-    generic, forced = _batches(cfg, window_tables(d))
-    assert calls[1:] == [60]
-    assert generic.mats.base is not None and generic.mats.base is forced.mats.base
+    [(mats, parts)] = _populations(cfg, window_tables(d))
+    assert len(mats) == 60
+    (g_population, _, g_rows, _), (f_population, _, f_rows, forced) = parts
+    generic = mats[g_rows]
+    assert generic.base is not None and generic.base is mats[f_rows].base
     alone = _uniform(seeded_stream(3, 0), cfg, window_tables(d), np.zeros((30, 8, 8), dtype=int))
-    assert np.array_equal(generic.mats, alone)
-    assert (generic.population, forced.population) == ("generic", "forced")
-    assert len(forced.mats) == len(forced.forced) == 30
+    assert np.array_equal(generic, alone)
+    assert (g_population, f_population) == ("generic", "forced")
+    assert len(mats[f_rows]) == len(forced) == 30
     calls.clear()
     run_checks(ExperimentConfig(d=(3,), fieldsize=5, trials=7), ("theorem",))
-    assert calls == [7]     # t = 1: no window, an empty forced sample
+    assert calls == [7]     # t = 1: no window, no forced rows
     calls.clear()
     run_checks(ExperimentConfig(d=(2, 2, 1), mode="exhaustive", fieldsize=3), ("theorem",))
     assert calls == [4096, 3 ** 8 - 4096]
+
+
+def test_sampled_population_is_cut_across_the_two_samples(monkeypatch):
+    # the generic rows and then the forced rows are cut into arrays of at
+    # most _BATCH rows, so an array can end one sample and start the other;
+    # run_checks ranks each array in one rank_tables call
+    import rorc.verify as verify
+
+    cfg = ExperimentConfig(d=(2, 1, 2, 1, 2), fieldsize=32003, trials=_BATCH + 7, seed=4)
+    seen = [[(population, first, len(mats[rows])) for population, first, rows, _ in parts]
+            for mats, parts in _populations(cfg, window_tables(cfg.d))]
+    assert seen == [[("generic", 0, _BATCH)],
+                    [("generic", _BATCH, 7), ("forced", 0, _BATCH - 7)],
+                    [("forced", _BATCH - 7, 14)]]
+    real, calls = verify.rank_tables, []
+
+    def counting(mats, tab, p):
+        calls.append(mats.shape[0])
+        return real(mats, tab, p)
+
+    monkeypatch.setattr(verify, "rank_tables", counting)
+    run_checks(cfg, ("theorem", "lemmas"))
+    assert calls == [_BATCH, _BATCH, 14]
 
 
 def test_config_coerces_plain_tuples():
@@ -382,10 +406,10 @@ def test_lemma_masks_match_pointwise_definitions():
         d = Composition(parts)
         cfg = ExperimentConfig(d=d, mode="sample", fieldsize=3, trials=25, seed=5)
         tab = window_tables(d)
-        lemmas = _Lemmas(cfg, tab)
-        for batch in _batches(cfg, tab):
-            verdicts = _lemma_violations(batch, tab, lemmas.low, lemmas.high, lemmas.flank)
-            for r, mat in enumerate(batch.mats):
+        masks = _lemma_masks(d, tab)
+        for mats, parts in _populations(cfg, tab):
+            verdicts = _flags(rank_tables(mats, tab, 3), tab, masks, parts)
+            for r, mat in enumerate(mats):
                 expected = _pointwise_lemmas(ExactMatrix(mat.tolist(), "Fp:3"), d)
                 assert {name: bool(verdicts[name][r]) for name in _LEMMAS} == expected
                 for name, bad in expected.items():
@@ -407,11 +431,13 @@ def test_covered_implies_defective_and_every_matrix_is_generic_or_defective():
         ExperimentConfig(d=(4,), fieldsize=32003, trials=20, seed=3),
         ExperimentConfig(d=(3,), mode="exhaustive", fieldsize=3),
     ):
-        batches = list(_batches(cfg, window_tables(cfg.d)))
-        assert batches
-        for b in batches:
-            assert not (b.covered & ~b.defective).any()
-            assert (b.richardson | b.defective).all()
+        tab = window_tables(cfg.d)
+        arrays = list(_populations(cfg, tab))
+        assert arrays
+        for mats, parts in arrays:
+            f = _flags(rank_tables(mats, tab, cfg.fieldsize), tab, _lemma_masks(cfg.d, tab), parts)
+            assert not (f["covered"] & ~f["defective"]).any()
+            assert (f["richardson"] | f["defective"]).all()
 
 
 # SHA-256 of the sampled populations below (matrix bytes, then the forced
@@ -472,10 +498,11 @@ CHUNKED_REPORT_DIGEST = "893371d74a5307c027071dcfbef36b30b480db178ddde6afa347ade
 
 
 def test_chunked_samples_keep_the_reports():
-    # _BATCH + 7 trials take two chunks per sample of (2,1,2,1,2) and
-    # (1,3,2), two generic chunks and an empty forced one of (5,) (t = 1),
-    # and six chunks per sample of the running example, whose 36 x 36
-    # matrices fill a chunk in fewer rows
+    # _BATCH + 7 trials cut both samples of (2,1,2,1,2) and (1,3,2) into
+    # three arrays, the middle one ending the generic sample and starting
+    # the forced one, the generic sample of (5,) (t = 1, nothing forced)
+    # into two, and both samples of the running example, whose 36 x 36
+    # matrices fill an array in fewer rows, into eleven
     digest = hashlib.sha256()
     for kw in (dict(d=(2, 1, 2, 1, 2), fieldsize=32003, seed=4), dict(d=(1, 3, 2), fieldsize=2, seed=0),
                dict(d=(5,), fieldsize=3, seed=1), dict(d=RUNNING, fieldsize=32003, seed=2)):
