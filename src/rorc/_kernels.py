@@ -21,7 +21,7 @@ rank of every leading submatrix, and that rank is the number of pivots inside
 it (the rank profile matrix; Dumas-Pernet-Sultan, J. Symbolic Comput. 2017).
 ``window_rank_table`` uses this to rank every window of one power of A with a
 single elimination.  The loop takes a per-column first row, which
-``window_rank_table`` derives from the block pattern of A^k, so the rows the
+``window_plan`` derives from the block pattern of A^k, so the rows the
 pattern keeps zero are neither searched nor updated.
 
 These kernels serve the verifier's populations alone; ``ExactMatrix`` ranks
@@ -29,8 +29,6 @@ and multiplies in plain Python over Q and F_p, an independent check on them.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -164,13 +162,16 @@ def _corner_bound(o: tuple[int, ...], k: int) -> tuple[bool, list[int]]:
     return wide, np.minimum.accumulate(first).tolist()
 
 
-@lru_cache(maxsize=128)
-def _plan(o: tuple[int, ...], pairs: tuple[tuple[int, int], ...]):
+def window_plan(o: tuple[int, ...], pairs):
     """The fixed part of ``window_rank_table`` for one block pattern: the
-    mask of entries outside the nilradical, and per power k the pairs it
-    ranks, their leading submatrices in the row-flipped corner C_k[::-1]
-    (o_(t-k) rows), transposed when it is wide, and the row bound of its
-    elimination.  Bounded like the window tables it serves."""
+    offsets, the number of pairs, the mask of entries outside the
+    nilradical, and per power k the pairs it ranks, their leading submatrices
+    in the row-flipped corner C_k[::-1] (o_(t-k) rows), transposed when it
+    is wide, and the row bound of its elimination.
+
+    ``o`` are the block boundaries 0 = o_0 < ... < o_t = n and ``pairs`` the
+    windows (i, j), blocks 1-based and inclusive.
+    """
     t = len(o) - 1
     block = np.repeat(np.arange(t), np.diff(o))
     queries = []
@@ -184,16 +185,14 @@ def _plan(o: tuple[int, ...], pairs: tuple[tuple[int, int], ...]):
         if wide:
             nrows, ncols = ncols, nrows
         queries.append((k, [pi for pi, _, _ in ranked], nrows, ncols, wide, first))
-    return block[:, None] >= block[None, :], tuple(queries)
+    return o, len(pairs), block[:, None] >= block[None, :], tuple(queries)
 
 
-def window_rank_table(mats, offsets, pairs, p):
-    """Rank table R[b, pi, k-1] = rank((A_b window pi)^k) mod p, -1 padded.
-
-    ``offsets`` are the block boundaries 0 = o_0 < ... < o_t = n and
-    ``pairs`` the windows (i, j), blocks 1-based and inclusive.  Each A_b must
-    lie in the nilradical (nonzero mod p only in blocks strictly above the
-    diagonal blocks); anything else raises ValueError.
+def window_rank_table(mats, plan, p):
+    """Rank table R[b, pi, k-1] = rank((A_b window pi)^k) mod p, -1 padded,
+    for the windows of ``plan`` (see ``window_plan``).  Each A_b must lie in
+    the nilradical (nonzero mod p only in blocks strictly above the diagonal
+    blocks); anything else raises ValueError.
 
     There A^k is zero outside the blocks (r, c) with c >= r + k, so the window
     [i, j] of A^k is the k-th power of the window of A, and its rank is that
@@ -207,16 +206,14 @@ def window_rank_table(mats, offsets, pairs, p):
 
     The same block pattern bounds the elimination: the rows of each column
     that the pattern keeps zero are neither searched nor updated, a bound
-    derived once per power from the offsets (``_corner_bound``).  Slices of
-    _SLICE matrices hold one corner at a time.
+    the plan derives once per power from the offsets (``_corner_bound``).
+    Slices of _SLICE matrices hold one corner at a time.
     """
     mats = np.asarray(mats, dtype=np.int64)
-    o = tuple(int(v) for v in offsets)
+    o, npairs, outside, queries = plan
     t = len(o) - 1
-    kmax = t - 1
-    outside, queries = _plan(o, tuple(tuple(pq) for pq in pairs))
     nb = mats.shape[0]
-    table = np.full((nb, len(pairs), kmax), -1, dtype=np.int64)
+    table = np.full((nb, npairs, t - 1), -1, dtype=np.int64)
     for start in range(0, nb, _SLICE):
         a = _mod(mats[start:start + _SLICE], p)
         if a[:, outside].any():

@@ -177,6 +177,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    if not args.pair:
+        raise ConfigError("witness requires --pair i,j")
     d = _parse_d(args.d)
     i, j = _parse_pair(args.pair)
     d.check_pair(i, j)
@@ -277,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "witness" and not args.pair:
-            raise ConfigError("witness requires --pair i,j")
         return args.func(args)
     except ValueError as exc:   # ConfigError included
         print(f"error: {exc}", file=sys.stderr)

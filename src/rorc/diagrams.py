@@ -102,6 +102,16 @@ def window_chains(d, i: int, j: int) -> list[list[int]]:
             for h in range(1, max(d.parts[i - 1 : j]) + 1)]
 
 
+def contributing_chains(d: Composition, i: int, j: int, k: int) -> list[tuple[int, list[Edge]]]:
+    """The chains of the complete diagram inside the window (i, j) that
+    contribute to the rank of its k-th power, those of more than k vertices,
+    top first: each as its height and its edges (u, v) in column order.
+    Breaking any one of those edges drops that rank below the maximum."""
+    o = d.offsets
+    return [(h, [(o[a - 1] + h, o[b - 1] + h) for a, b in zip(cols, cols[1:])])
+            for h, cols in enumerate(window_chains(d, i, j), start=1) if len(cols) > k]
+
+
 def complete_diagram(d) -> LineDiagram:
     """Join all same-height neighbors: one chain per height h, spanning the
     columns of size >= h in order."""

@@ -12,16 +12,19 @@ Everything here is exact: the predicates rank with ExactMatrix, one
 fraction-free elimination over Q or reduced mod p, never with the mod-p
 kernels that rank_tables runs for the verifier.  They read one exact defect
 table per matrix through the verifier's defect_flags and stratum_flags.  The
-witness search screens its candidates, line diagrams kept as edge sets, by
-counting their chains (chain_window_rank) and certifies the accepted one over
-the rationals.
+witness search takes its line diagrams, kept as edge sets, from one generator
+(_candidates) in two phases: the deterministic breaks of the complete diagram
+and the moved tableau's diagram, then a seeded walk.  It screens each by
+counting its chains (chain_window_rank) against the kappas and thresholds of
+window_tables(d), and certifies the accepted one over the rationals with the
+predicate behind separates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from functools import cached_property, lru_cache
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -39,11 +42,10 @@ from .diagrams import (
     LineDiagram,
     chain_window_rank,
     complete_diagram,
+    contributing_chains,
     edge_chains,
     max_window_rank,
     tableau_diagram,
-    vertex_id,
-    window_chains,
 )
 from .matrices import ExactMatrix
 from .tableaux import YoungTableau, minimal_movement
@@ -200,7 +202,6 @@ class WindowTables:
 
     d: Composition
     pairs: tuple[tuple[int, int], ...]
-    offsets: np.ndarray             # (t+1,) block boundaries 0 = o_0 < ... < o_t = n
     starts: np.ndarray
     stops: np.ndarray
     spans: np.ndarray
@@ -211,6 +212,13 @@ class WindowTables:
     lam: np.ndarray                 # (P,) bool
     full_index: int                 # index of the full window (1, t); 0 when t = 1
     positions: np.ndarray           # (m, 2) free entries of the pattern
+
+    @cached_property
+    def plan(self):
+        """The fixed part of the rank kernel for this pattern
+        (_kernels.window_plan), built on the first rank_tables call: the
+        witness search, which ranks nothing mod p, never builds it."""
+        return _kernels.window_plan(self.d.offsets, self.pairs)
 
 
 def window_tables(d) -> WindowTables:
@@ -252,7 +260,6 @@ def _window_tables(d: Composition) -> WindowTables:
     return WindowTables(
         d=d,
         pairs=tuple(pairs),
-        offsets=np.array(o, dtype=np.int64),
         starts=starts,
         stops=stops,
         spans=spans,
@@ -271,7 +278,7 @@ def rank_tables(mats: np.ndarray, tab: WindowTables, p: int) -> np.ndarray:
 
     The matrices must lie in the nilradical of ``tab.d``; ValueError otherwise.
     """
-    return _kernels.window_rank_table(mats, tab.offsets, tab.pairs, p)
+    return _kernels.window_rank_table(mats, tab.plan, p)
 
 
 def defect_flags(ranks: np.ndarray, tab: WindowTables) -> np.ndarray:
@@ -293,64 +300,38 @@ def seeded_stream(seed: int, key: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # separating witnesses
 
-def _segment_edges(d: Composition, i: int, j: int) -> list[tuple[int, tuple[int, int]]]:
-    """Candidate edges to break, as (height, edge): the window edges of every
-    complete-diagram chain long enough to contribute at the threshold
-    exponent, deepest height first.  Splitting any of them drops the window's
-    rank at that exponent."""
-    kap = kappa(d, i, j)
-    out = []
-    for h, cols in reversed(list(enumerate(window_chains(d, i, j), start=1))):
-        if len(cols) > kap:
-            for a, b in zip(cols, cols[1:]):
-                out.append((h, (vertex_id(d, a, h), vertex_id(d, b, h))))
-    return out
+def _candidates(d: Composition, i: int, j: int, seed: int, budget: int):
+    """Witness candidates for (i, j) as edge sets, in two phases.
 
-
-def _reattachment_options(d: Composition, edges: frozenset, u: int, v: int, height: int):
-    """Edges reconnecting the loose ends u (needs a right partner) and v
-    (needs a left partner) to vertices on strictly deeper rows."""
+    Deterministic: break one edge of a chain contributing to the window's
+    rank at kappa (deepest chain first), and reconnect its loose ends,
+    u (needs a right partner) and v (needs a left partner), to each free
+    vertex on a strictly deeper row, or not at all; then the diagram of the
+    moved tableau of (i, j).  Walk: ``budget`` trials, trial n drawing from
+    seeded_stream(seed, n), each starting from a random break or the moved
+    tableau's diagram and making random edge removals and reconnections
+    between free chain ends.
+    """
+    tab = window_tables(d)
+    kap = int(tab.kappas[tab.pairs.index((i, j))])
     blk, o = d.block_of, d.offsets
-    has_right = {a for a, _ in edges}
-    has_left = {b for _, b in edges}
-    left_fixes = [None]
-    right_fixes = [None]
-    for w in range(1, d.n + 1):
-        col = blk[w - 1]
-        if w - o[col - 1] <= height:
-            continue
-        if w not in has_left and col > blk[u - 1]:
-            left_fixes.append((u, w))
-        if w not in has_right and col < blk[v - 1]:
-            right_fixes.append((w, v))
-    return left_fixes, right_fixes
-
-
-def _diagram_candidates(d: Composition, i: int, j: int):
-    """Deterministic witness candidates as edge sets, in order: break one
-    edge of a chain contributing to the window's threshold rank (deepest
-    chain first), optionally reconnecting the loose ends to deeper rows; then
-    the diagram realization of the moved tableau of (i, j)."""
     base = complete_diagram(d).edges
-    for height, edge in _segment_edges(d, i, j):
-        broken = base - {edge}
-        u, v = edge
-        left_fixes, right_fixes = _reattachment_options(d, broken, u, v, height)
+    breaks = [(h, e) for h, edges in reversed(contributing_chains(d, i, j, kap)) for e in edges]
+    for height, (u, v) in breaks:
+        broken = base - {(u, v)}
+        has_right = {a for a, _ in broken}
+        has_left = {b for _, b in broken}
+        deeper = [w for w in range(1, d.n + 1) if w - o[blk[w - 1] - 1] > height]
+        left_fixes = [None, *((u, w) for w in deeper
+                              if w not in has_left and blk[w - 1] > blk[u - 1])]
+        right_fixes = [None, *((w, v) for w in deeper
+                               if w not in has_right and blk[w - 1] < blk[v - 1])]
         for lf in left_fixes:
             for rf in right_fixes:
                 yield broken | {e for e in (lf, rf) if e is not None}
-    yield tableau_diagram(minimal_movement(d, i, j).tableau, d).edges
-
-
-def _walk_candidates(d: Composition, i: int, j: int, seed: int, budget: int):
-    """Seeded randomized walk in diagram space, ``budget`` trials yielding
-    edge sets: a random break or the moved tableau's diagram, then random
-    edge removals and reconnections between free chain ends.  Trial n draws
-    from the stream seeded_stream(seed, n)."""
-    breaks = _segment_edges(d, i, j)
-    blk = d.block_of
-    base = complete_diagram(d).edges
+    # built only after the breaks, which end most searches
     moved = tableau_diagram(minimal_movement(d, i, j).tableau, d).edges
+    yield moved
     for trial in range(budget):
         rng = seeded_stream(seed, trial)
         if rng.integers(2):
@@ -374,48 +355,60 @@ def _walk_candidates(d: Composition, i: int, j: int, seed: int, budget: int):
         yield frozenset(edges)
 
 
+def _lambda_index(tab: WindowTables, pair) -> int:
+    """The index of ``pair`` in tab.pairs; ValueError unless it is in
+    lambda_pairs(d)."""
+    i, j = pair
+    if (i, j) not in tab.pairs or not tab.lam[tab.pairs.index((i, j))]:
+        raise ValueError(f"pair ({i},{j}) is not in lambda_pairs({tab.d})")
+    return tab.pairs.index((i, j))
+
+
+def _separating(a: ExactMatrix, d: Composition, tab: WindowTables, pi: int) -> bool:
+    """True when the stratum row of A's exact defect table holds the pair
+    tab.pairs[pi] and no other pair of lambda_pairs(d)."""
+    row = stratum_flags(_exact_defects(a, d), tab)
+    return bool((row == (np.arange(len(tab.pairs)) == pi))[tab.lam].all())
+
+
 def separates(a: ExactMatrix, d, pair: tuple[int, int]) -> bool:
     """True when A lies in the stratum of ``pair`` and in the stratum of no
     other pair of lambda_pairs(d), read off A's one exact defect table."""
     d = as_composition(d)
-    i, j = pair
-    if (i, j) not in lambda_pairs(d):
-        raise ValueError(f"pair ({i},{j}) is not in lambda_pairs({d})")
     tab = window_tables(d)
-    want = np.arange(len(tab.pairs)) == tab.pairs.index((i, j))
-    return bool((stratum_flags(_exact_defects(a, d), tab) == want)[tab.lam].all())
+    return _separating(a, d, tab, _lambda_index(tab, pair))
 
 
 def witness(d, pair: tuple[int, int], seed: int = 0, budget: int = 100_000) -> ExactMatrix:
     """A nilradical matrix lying in the stratum of ``pair`` and in no other
     component stratum.
 
-    Two candidate phases, the deterministic diagram candidates and then
-    ``budget`` trials of the seeded walk, yield line diagrams as edge sets.
-    Each is screened by its chains: its window rank at kappa, from
+    The candidates of ``_candidates``, the deterministic diagram phase and
+    then ``budget`` trials of the seeded walk, are line diagrams kept as edge
+    sets.  Each is screened by its chains: its window rank at kappa, from
     chain_window_rank, must fall below the threshold for ``pair`` and for no
-    other pair of lambda_pairs(d).  The first candidate that passes becomes a
-    LineDiagram and an ExactMatrix, and is certified over the rationals by
-    ``separates``.
+    other pair of lambda_pairs(d), all read off window_tables(d).  The first
+    candidate that passes becomes a LineDiagram and an ExactMatrix, and is
+    certified over the rationals by the predicate behind ``separates``.
     Raises WitnessSearchError when both phases are exhausted.
     """
     d = as_composition(d)
-    i, j = pair
-    if (i, j) not in lambda_pairs(d):
-        raise ValueError(f"pair ({i},{j}) is not in lambda_pairs({d})")
+    tab = window_tables(d)
+    pi = _lambda_index(tab, pair)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     blk = d.block_of
-    strata = [((k, l) == (i, j), k, l, kappa(d, k, l), max_window_rank(d, k, l, kappa(d, k, l)))
-              for k, l in sorted(lambda_pairs(d))]
-    for edges in chain(_diagram_candidates(d, i, j), _walk_candidates(d, i, j, seed, budget)):
+    kappas = tab.kappas.tolist()
+    strata = [(qi == pi, k, l, kappas[qi], int(tab.thresholds[qi, kappas[qi] - 1]))
+              for qi, (k, l) in enumerate(tab.pairs) if tab.lam[qi]]
+    for edges in _candidates(d, *tab.pairs[pi], seed, budget):
         visits = [[blk[v - 1] for v in path] for path in edge_chains(d.n, edges)]
         if all((chain_window_rank(visits, k, l, kap) < thr) == own
                for own, k, l, kap, thr in strata):
             a = LineDiagram(d, edges).to_matrix()
-            if not separates(a, d, (i, j)):
+            if not _separating(a, d, tab, pi):
                 raise AssertionError(
                     "the chain-count screen accepted a matrix that does not separate")
             return a

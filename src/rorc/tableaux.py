@@ -23,6 +23,7 @@ from typing import NamedTuple
 from .compositions import (
     as_composition,
     dominance_leq,
+    gamma_pairs,
     is_partition,
     richardson_partition,
 )
@@ -250,8 +251,6 @@ def minimal_movement(d, i: int, j: int) -> Movement:
 def codim(d, i: int, j: int) -> int:
     """Codimension in the nilradical of the component of (i, j): the number of
     rows its minimal movement descends.  Requires (i, j) in gamma_pairs(d)."""
-    from .compositions import gamma_pairs
-
     d = as_composition(d)
     d.check_pair(i, j)
     if (i, j) not in gamma_pairs(d):

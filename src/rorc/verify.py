@@ -33,7 +33,7 @@ from .compositions import (
     lambda_pairs,
     low_intermediates,
 )
-from .diagrams import _max_window_rank, complete_diagram, vertex_id, window_chains
+from .diagrams import _max_window_rank, complete_diagram, contributing_chains
 from .matrices import DEFAULT_PRIME, _is_prime
 from .strata import (
     WindowTables,
@@ -195,11 +195,9 @@ def _forced_sample(cfg: ExperimentConfig, tab: WindowTables, out: np.ndarray,
         pi = int(draws.integers(len(tab.pairs)))
         i, j = tab.pairs[pi]
         k = int(draws.integers(1, j - i + 1))
-        chains = [(h, cols) for h, cols in enumerate(window_chains(d, i, j), start=1)
-                  if len(cols) > k]
-        h, cols = chains[int(draws.integers(len(chains)))]
-        e = int(draws.integers(len(cols) - 1))
-        removed = vertex_id(d, cols[e], h)      # the broken edge leaves it
+        chains = contributing_chains(d, i, j, k)
+        _, edges = chains[int(draws.integers(len(chains)))]
+        removed = edges[int(draws.integers(len(edges)))][0]    # the broken edge leaves it
         lo, hi = o[i - 1], o[j]
         kept = [f for u, v, f in base_edges if lo < u and v <= hi and u != removed]
         mats[b, lo:hi, lo:hi] = 0

@@ -3,15 +3,18 @@ import pytest
 from rorc import (
     Composition,
     conjugate,
+    decompose,
     dominance_leq,
     gamma_pairs,
     high_intermediates,
     kappa,
     lambda_pairs,
     low_intermediates,
+    max_window_rank,
     partitions_of,
     richardson_partition,
 )
+from rorc.verify import compositions_of
 
 RUNNING = Composition.of(7, 5, 2, 3, 5, 1, 2, 6, 5)
 
@@ -147,3 +150,34 @@ def test_conjugate_involution():
     for n in range(1, 9):
         for p in partitions_of(n):
             assert conjugate(conjugate(p)) == p
+
+
+def test_mirror_keeps_the_combinatorics():
+    """The mirror A -> J A^T J maps the nilradical of d onto that of
+    reversed(d), and the window (i, j) onto (t+1-j, t+1-i).  On every
+    composition with n <= 8, that relabelling carries gamma, Lambda, kappa
+    and the maximal window ranks of d onto those of reversed(d), and each
+    component's kappa, threshold, codim and mu onto its mirror's."""
+    count = 0
+    for n in range(1, 9):
+        for parts in compositions_of(n):
+            d, r = Composition(parts), Composition(parts[::-1])
+            t = d.t
+
+            def mirror(pair):
+                return t + 1 - pair[1], t + 1 - pair[0]
+
+            assert set(map(mirror, gamma_pairs(d))) == gamma_pairs(r)
+            assert set(map(mirror, lambda_pairs(d))) == lambda_pairs(r)
+            for i in range(1, t):
+                for j in range(i + 1, t + 1):
+                    assert kappa(d, i, j) == kappa(r, *mirror((i, j)))
+                    assert [max_window_rank(d, i, j, k) for k in range(1, t + 1)] == [
+                        max_window_rank(r, *mirror((i, j)), k) for k in range(1, t + 1)]
+            mirrored = {s.pair: s for s in decompose(r).strata}
+            for s in decompose(d).strata:
+                m = mirrored[mirror(s.pair)]
+                assert (s.kappa, s.rank_threshold, s.codim, s.mu) == (
+                    m.kappa, m.rank_threshold, m.codim, m.mu)
+            count += 1
+    assert count == 2 ** 8 - 1

@@ -423,13 +423,13 @@ def test_window_rank_table_matches_exact_windows(nilradical):
         inside[count - 1, 0, 1] = 1  # one entry in a diagonal block, last slice
         for mats in (full, inside):
             with pytest.raises(ValueError):
-                _kernels.window_rank_table(mats, tab.offsets, tab.pairs, p)
+                _kernels.window_rank_table(mats, tab.plan, p)
         return
     for parts in [(3,), (4, 1), (1, 4), (2, 1, 2, 1), (1, 2, 1, 1, 2)]:
         d = Composition.of(*parts)
         tab = window_tables(d)
         mats = _nilradical_batch(rng, d, tab, count, p)
-        table = _kernels.window_rank_table(mats, tab.offsets, tab.pairs, p)
+        table = _kernels.window_rank_table(mats, tab.plan, p)
         assert table.shape == (count, len(tab.pairs), tab.kmax)
         for b in range(count):
             a = ExactMatrix(mats[b].tolist(), field=f"Fp:{p}")
@@ -495,7 +495,7 @@ def test_row_bound_keeps_the_pivots_of_every_corner(parts, wide, p):
     rng = np.random.default_rng(107 + p)
     d = Composition.of(*parts)
     tab = window_tables(d)
-    o, t = tuple(int(v) for v in tab.offsets), d.t
+    o, t = d.offsets, d.t
     mats = _nilradical_batch(rng, d, tab, 24, p)
     mats[1::4] *= rng.random(mats[1::4].shape) < 0.1    # sparse
     mats[2] = 0
@@ -542,28 +542,28 @@ def test_window_rank_table_edge_cases():
     tab = window_tables(d)
     assert tab.pairs == ((1, 2),) and tab.kmax == 1
     mats = _nilradical_batch(rng, d, tab, 12, p)
-    table = _kernels.window_rank_table(mats, tab.offsets, tab.pairs, p)
+    table = _kernels.window_rank_table(mats, tab.plan, p)
     assert np.array_equal(table, _exact_window_table(mats, d, tab.pairs, 1, p))
     # windows of span 1 only: no power beyond the first is formed or ranked
     d = Composition.of(2, 1, 3, 1)
     tab = window_tables(d)
     short = [(1, 2), (2, 3), (3, 4)]
     mats = _nilradical_batch(rng, d, tab, 12, p)
-    table = _kernels.window_rank_table(mats, tab.offsets, short, p)
+    table = _kernels.window_rank_table(mats, _kernels.window_plan(d.offsets, short), p)
     assert np.array_equal(table, _exact_window_table(mats, d, short, tab.kmax, p))
     assert (table[:, :, 1:] == -1).all()
     # an all-zero slice ranks 0 up to each span, -1 beyond
     zeros = np.zeros((_kernels._SLICE, d.n, d.n), dtype=np.int64)
-    table = _kernels.window_rank_table(zeros, tab.offsets, tab.pairs, p)
+    table = _kernels.window_rank_table(zeros, tab.plan, p)
     spans = np.array([j - i for i, j in tab.pairs])
     expected = np.where(np.arange(1, tab.kmax + 1) <= spans[:, None], 0, -1)
     assert (table == expected).all()
     # a batch that is not a multiple of _SLICE: every member as if alone
     count = 2 * _kernels._SLICE - 3
     mats = _nilradical_batch(rng, d, tab, count, p)
-    table = _kernels.window_rank_table(mats, tab.offsets, tab.pairs, p)
+    table = _kernels.window_rank_table(mats, tab.plan, p)
     assert np.array_equal(table, np.concatenate(
-        [_kernels.window_rank_table(m[None], tab.offsets, tab.pairs, p) for m in mats]))
+        [_kernels.window_rank_table(m[None], tab.plan, p) for m in mats]))
 
 
 def _sympy_jordan_type(a: ExactMatrix) -> tuple[int, ...]:
