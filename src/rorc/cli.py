@@ -128,7 +128,6 @@ def _cmd_diagram(args) -> int:
     label = f"complete diagram for d = {d}"
     if args.pair:
         i, j = _parse_pair(args.pair)
-        d.check_window(i, j)
         diagram = subdiagram(diagram, i, j)
         label = f"subdiagram of columns {i}..{j} for d = {d}"
     if args.json:
@@ -148,7 +147,6 @@ def _cmd_tableau(args) -> int:
     d = _parse_d(args.d)
     if args.pair:
         i, j = _parse_pair(args.pair)
-        d.check_pair(i, j)
         tab = minimal_movement(d, i, j).tableau
     else:
         tab = richardson_tableau(d)
@@ -181,9 +179,6 @@ def _cmd_witness(args) -> int:
         raise ConfigError("witness requires --pair i,j")
     d = _parse_d(args.d)
     i, j = _parse_pair(args.pair)
-    d.check_pair(i, j)
-    if (i, j) not in lambda_pairs(d):
-        raise ConfigError(f"pair ({i},{j}) is not in Lambda({d})")
     if args.budget < 0:
         raise ConfigError(f"--budget must be >= 0, got {args.budget}")
     seed = _default_seed() if args.seed is None else args.seed

@@ -17,6 +17,11 @@ from itertools import accumulate, combinations
 Pair = tuple[int, int]
 
 
+def _is_int(x) -> bool:
+    """An int and not a bool: the integer rule for parts, sizes and indices."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Composition:
     """Ordered tuple of positive block sizes (d_1, ..., d_t)."""
@@ -28,7 +33,7 @@ class Composition:
             object.__setattr__(self, "parts", tuple(self.parts))
         if not self.parts:
             raise ValueError("composition needs at least one part")
-        if any(not isinstance(p, int) or p < 1 for p in self.parts):
+        if any(not _is_int(p) or p < 1 for p in self.parts):
             raise ValueError(f"parts must be positive integers, got {self.parts!r}")
 
     @classmethod

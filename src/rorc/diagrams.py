@@ -116,18 +116,14 @@ def complete_diagram(d) -> LineDiagram:
     """Join all same-height neighbors: one chain per height h, spanning the
     columns of size >= h in order."""
     d = as_composition(d)
-    edges = []
-    for h, cols in enumerate(window_chains(d, 1, d.t), start=1):
-        for a, b in zip(cols, cols[1:]):
-            edges.append((vertex_id(d, a, h), vertex_id(d, b, h)))
-    return LineDiagram(d, frozenset(edges))
+    return LineDiagram(d, frozenset(e for _, edges in contributing_chains(d, 1, d.t, 0)
+                                    for e in edges))
 
 
 def subdiagram(diagram: LineDiagram, i: int, j: int) -> LineDiagram:
     """Columns i..j re-indexed, keeping exactly the edges inside the window."""
     d = diagram.columns
-    d.check_window(i, j)
-    sub = d.window(i, j)
+    sub = d.window(i, j)    # checks the window
     lo = d.offsets[i - 1]
     hi = d.offsets[j]
     edges = frozenset(
@@ -156,25 +152,19 @@ def tableau_diagram(tab, d) -> LineDiagram:
     columns listed in row r, so every prefix subdiagram has the nilpotency
     class of the corresponding sub-tableau.
 
-    The complete diagram is the realization of the maximal tableau.
+    The h-th row, from the top, that holds column m visits it at height h,
+    and consecutive entries of a row are joined.  The complete diagram is
+    the realization of the maximal tableau.
     """
-    from .tableaux import tableau_to_chain
-
     d = as_composition(d)
-    ends: dict[int, int] = {}
+    height: dict[int, int] = {}
     edges = []
-    prev: tuple[int, ...] = ()
-    for m, shape in enumerate(tableau_to_chain(tab), start=1):
-        grown = sorted(
-            r for r in range(len(shape))
-            if (prev[r] if r < len(prev) else 0) + 1 == shape[r]
-        )
-        for h, r in enumerate(grown, start=1):
-            v = vertex_id(d, m, h)
-            if r in ends:
-                edges.append((ends[r], v))
-            ends[r] = v
-        prev = shape
+    for row in tab.rows:
+        path = []
+        for m in row:
+            height[m] = height.get(m, 0) + 1
+            path.append(vertex_id(d, m, height[m]))
+        edges.extend(zip(path, path[1:]))
     return LineDiagram(d, frozenset(edges))
 
 

@@ -29,7 +29,7 @@ from operator import mul
 
 import numpy as np
 
-from .compositions import Composition, as_composition, conjugate
+from .compositions import Composition, _is_int, as_composition, conjugate
 
 DEFAULT_PRIME = 32003
 
@@ -41,15 +41,23 @@ def _normalize_field(field: str, ncols: int) -> tuple[str, int | None]:
         return "Q", None
     if field.startswith("Fp:"):
         p = int(field[3:])
-        if p < 2:
-            raise ValueError(f"modulus must be at least 2, got {p}")
-        if ncols * (p - 1) ** 2 >= 2 ** 63:    # checked first: it caps trial division
-            raise ValueError(f"Fp:{p} is too large for {ncols} columns: the verifier's "
-                             "field bound ncols*(p-1)^2 < 2^63 keeps the primality test short")
-        if not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+        _check_modulus(p, ncols)
         return field, p
     raise ValueError(f"unknown field {field!r}; expected 'Q' or 'Fp:<p>'")
+
+
+def _check_modulus(p: int, n: int) -> None:
+    """Raise ValueError unless p is a prime with n*(p-1)^2 < 2^63, the field
+    bound of the verifier's int64 kernels, whose products sum n terms of at
+    most (p-1)^2.  The bound is checked first: it caps the trial division of
+    the primality test."""
+    if not _is_int(p) or p < 2:
+        raise ValueError(f"modulus must be an integer of at least 2, got {p!r}")
+    if n * (p - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"modulus {p} is too large for n = {n}: the int64 kernels "
+                         "need n*(p-1)^2 < 2^63")
+    if not _is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
 
 
 def _rational_mod_p(v, p: int) -> int:
@@ -250,10 +258,10 @@ class ExactMatrix:
         d = as_composition(d)
         if d.n != self.n:
             raise ValueError("block structure does not match matrix size")
-        d.check_window(i, j)
+        blocks = d.window(i, j)     # checks the window
         o = d.offsets
         lo, hi = o[i - 1], o[j]
-        return self._derived(tuple(row[lo:hi] for row in self.rows[lo:hi]), d.window(i, j))
+        return self._derived(tuple(row[lo:hi] for row in self.rows[lo:hi]), blocks)
 
     # -- serialization -------------------------------------------------------
 
@@ -324,10 +332,6 @@ class ExactMatrix:
         else:
             raise ValueError("matrix JSON needs 'entries' or 'triples'")
         return cls(rows, field, blocks)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _rank_bareiss(rows: list[list[int]], p: int | None = None) -> int:

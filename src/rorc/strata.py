@@ -360,7 +360,7 @@ def _lambda_index(tab: WindowTables, pair) -> int:
     lambda_pairs(d)."""
     i, j = pair
     if (i, j) not in tab.pairs or not tab.lam[tab.pairs.index((i, j))]:
-        raise ValueError(f"pair ({i},{j}) is not in lambda_pairs({tab.d})")
+        raise ValueError(f"pair ({i},{j}) is not in Lambda({tab.d})")
     return tab.pairs.index((i, j))
 
 

@@ -225,10 +225,8 @@ def minimal_movement(d, i: int, j: int) -> Movement:
     and the number of rows descended, r - s.
     """
     d = as_composition(d)
-    d.check_pair(i, j)
-    base = richardson_tableau(d)
-    s = shared_row(d, i, j)
-    rows = [list(r) for r in base.rows]
+    s = shared_row(d, i, j)     # checks the pair
+    rows = [list(r) for r in richardson_tableau(d).rows]
     rows[s - 1].remove(j)
     for r in range(s + 1, len(rows) + 2):
         candidate = [row[:] for row in rows]

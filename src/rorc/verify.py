@@ -34,7 +34,7 @@ from .compositions import (
     low_intermediates,
 )
 from .diagrams import _max_window_rank, complete_diagram, contributing_chains
-from .matrices import DEFAULT_PRIME, _is_prime
+from .matrices import DEFAULT_PRIME, _check_modulus
 from .strata import (
     WindowTables,
     defect_flags,
@@ -72,13 +72,10 @@ class ExperimentConfig:
         object.__setattr__(self, "d", as_composition(self.d))
         if self.mode not in ("exhaustive", "sample"):
             raise ConfigError(f"mode must be 'exhaustive' or 'sample', got {self.mode!r}")
-        # the bound first: it caps the trial division of _is_prime
-        if self.fieldsize > 1 and self.d.n * (self.fieldsize - 1) ** 2 >= 2 ** 63:
-            raise ConfigError(
-                f"field size {self.fieldsize} is too large for n = {self.d.n}: "
-                "the int64 kernels need n*(p-1)^2 < 2^63")
-        if not _is_prime(self.fieldsize):
-            raise ConfigError(f"field size must be prime, got {self.fieldsize}")
+        try:
+            _check_modulus(self.fieldsize, self.d.n)
+        except ValueError as exc:
+            raise ConfigError(f"field size: {exc}") from None
         if self.trials < 1:
             raise ConfigError("trials must be positive")
         if self.seed < 0:
@@ -220,10 +217,10 @@ def _populations(cfg: ExperimentConfig, tab: WindowTables):
     where their matrices would hold more than _ENTRIES entries, so memory
     does not grow with cfg.trials.  Each sample comes from its own stream in
     the order it has when drawn whole: the generic entries and the forced
-    background entries row by row, then the forced per-trial draws.  When
-    the run takes more than one array, a second stream of the forced key
-    makes those draws once it has skipped every background entry, chunk by
-    chunk.
+    background entries row by row, then the forced per-trial draws.  A
+    second stream of the forced key makes those draws once it has skipped
+    every background entry, chunk by chunk, so one array or many give the
+    same matrices.
     """
     n, trials = cfg.d.n, cfg.trials
     if cfg.mode == "exhaustive":
@@ -240,11 +237,9 @@ def _populations(cfg: ExperimentConfig, tab: WindowTables):
     cuts = [(start, min(max(trials, start), start + size, total), min(start + size, total))
             for start in range(0, total, size)]
     generic = seeded_stream(cfg.seed, 0)
-    background = draws = seeded_stream(cfg.seed, 1)
-    if len(cuts) > 1:
-        draws = seeded_stream(cfg.seed, 1)
-        for _, mid, stop in cuts:
-            draws.integers(0, cfg.fieldsize, size=(stop - mid, len(tab.positions)))
+    background, draws = seeded_stream(cfg.seed, 1), seeded_stream(cfg.seed, 1)
+    for _, mid, stop in cuts:     # draws starts past every background entry
+        draws.integers(0, cfg.fieldsize, size=(stop - mid, len(tab.positions)))
     for start, mid, stop in cuts:
         mats = np.zeros((stop - start, n, n), dtype=np.int64)
         generic_rows, forced_rows = slice(0, mid - start), slice(mid - start, stop - start)

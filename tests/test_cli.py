@@ -222,6 +222,37 @@ def test_witness_pair_outside_lambda(capsys):
     assert "Lambda" in err
 
 
+@pytest.mark.parametrize("command, pair, message", [
+    ("diagram", "0,2", "window (0,2) out of range for t=3"),
+    ("tableau", "3,1", "pair (3,1) out of range for t=3"),
+    ("witness", "0,5", "pair (0,5) is not in Lambda((2,1,2))"),
+    ("witness", "1,2", "pair (1,2) is not in Lambda((2,1,2))"),
+])
+def test_pair_checked_by_the_callee_exits_2_with_one_error_line(capsys, command, pair,
+                                                                message):
+    code, out, err = run(capsys, command, "-d", "2,1,2", "--pair", pair)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_witness_verify_matrix_checks_the_pair(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"n": 5, "triples": []}))
+    code, out, err = run(capsys, "witness", "-d", "2,1,2", "--pair", "1,2",
+                         "--verify-matrix", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: pair (1,2) is not in Lambda((2,1,2))\n"
+
+
+def test_witness_verify_matrix_refuses_bool_block_sizes(capsys, tmp_path):
+    # "d": [true, 2] once passed as the composition (1,2) and printed as (True,2)
+    path = tmp_path / "bool_d.json"
+    path.write_text(json.dumps({"n": 3, "d": [True, 2], "triples": []}))
+    code, out, err = run(capsys, "witness", "-d", "1,2", "--pair", "1,2",
+                         "--verify-matrix", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parts must be positive integers")
+
+
 def test_witness_rejects_negative_budget(capsys):
     code, out, err = run(capsys, "witness", "-d", "1,1,1,1,1", "--pair", "1,2",
                          "--budget", "-1")

@@ -29,6 +29,14 @@ def test_composition_validation():
     assert d.offsets == (0, 2, 6, 13)
 
 
+def test_composition_refuses_bool_parts():
+    # bool is an int subclass: (True, 2) would pass as n = 3 and print as (True,2)
+    with pytest.raises(ValueError, match="positive integers"):
+        Composition((True, 2))
+    with pytest.raises(ValueError, match="positive integers"):
+        Composition.of(2, False)
+
+
 def test_richardson_partition_known_values():
     assert richardson_partition(Composition.of(3, 1, 2, 4)) == (4, 3, 2, 1)
     assert richardson_partition(RUNNING) == (9, 8, 6, 5, 5, 2, 1)

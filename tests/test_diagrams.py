@@ -11,6 +11,7 @@ from rorc import (
     diagram_partition,
     dominance_leq,
     max_window_rank,
+    partitions_of,
     richardson_element,
     richardson_partition,
     render_ascii,
@@ -26,7 +27,7 @@ from rorc.diagrams import (
 from rorc.matrices import ExactMatrix
 from rorc.strata import rank_tables, window_tables
 from rorc.verify import compositions_of
-from rorc.tableaux import richardson_tableau
+from rorc.tableaux import richardson_tableau, tableau_to_chain, tableaux_with_content
 
 RUNNING = Composition.of(7, 5, 2, 3, 5, 1, 2, 6, 5)
 
@@ -67,6 +68,9 @@ def test_branchless_rejected():
         LineDiagram(d, frozenset({(1, 3), (2, 3)}))
     with pytest.raises(ValueError):
         LineDiagram(Composition.of(2, 1), frozenset({(1, 2)}))  # same column
+    for edge in ((0, 2), (1, 4)):
+        with pytest.raises(ValueError, match="out of vertex range"):
+            LineDiagram(d, frozenset({edge}))
 
 
 def test_subdiagram_matches_window_composition():
@@ -137,6 +141,8 @@ def test_max_window_rank_known_values():
     d = Composition.of(3, 1, 2, 4)
     assert max_window_rank(d, 1, 4, 2) == 3
     assert max_window_rank(d, 1, 4, 3) == 1
+    with pytest.raises(ValueError, match="power must be >= 1"):
+        max_window_rank(d, 1, 4, 0)
 
 
 def test_max_window_rank_positivity():
@@ -233,6 +239,26 @@ def test_tableau_diagram_realizes_prefixes():
         d = Composition(tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 6))))
         tab = richardson_tableau(d)
         assert tableau_diagram(tab, d) == complete_diagram(d)
+
+
+def test_tableau_diagram_realizes_every_tableau():
+    # every tableau of every composition of n <= 7, mu running over partitions_of(n)
+    # (those not below lambda(d) have none): chain r visits the columns of row r,
+    # and the columns 1..m carry the shape of the entries <= m
+    total = 0
+    for n in range(1, 8):
+        for parts in compositions_of(n):
+            d = Composition(parts)
+            for mu in partitions_of(n):
+                for tab in tableaux_with_content(mu, d):
+                    diagram = tableau_diagram(tab, d)
+                    visits = sorted(tuple(diagram.vertex_column(v) for v in path)
+                                    for path in diagram.chains())
+                    assert visits == sorted(tab.rows)
+                    for m, shape in enumerate(tableau_to_chain(tab), start=1):
+                        assert diagram_partition(subdiagram(diagram, 1, m)) == shape
+                    total += 1
+    assert total == 3051
 
 
 def test_render_ascii_complete():

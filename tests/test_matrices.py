@@ -187,6 +187,43 @@ def test_field_validation():
     with pytest.raises(ValueError):
         ExactMatrix([[1]], field="R")
     assert _is_prime(2) and _is_prime(32003) and not _is_prime(1)
+    for p in (1, 0, -7):
+        with pytest.raises(ValueError, match="at least 2"):
+            ExactMatrix([[1]], field=f"Fp:{p}")
+
+
+def test_matrix_json_refuses_bool_block_sizes():
+    with pytest.raises(ValueError, match="positive integers"):
+        ExactMatrix.from_json_dict({"n": 3, "d": [True, 2], "entries": [[0] * 3] * 3})
+
+
+def test_arithmetic_and_block_errors():
+    d = Composition.of(2, 1)
+    for rows in ([], [[1], [1, 2]]):
+        with pytest.raises(ValueError, match="equal length"):
+            ExactMatrix(rows)
+    with pytest.raises(ValueError, match="does not match"):
+        ExactMatrix.zeros(3, blocks=(1, 1))
+    a = ExactMatrix.zeros(3)
+    with pytest.raises(ValueError, match="field mismatch"):
+        a.mul(ExactMatrix.zeros(3, field="Fp:5"))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a.mul(ExactMatrix.zeros(2, 3))
+    with pytest.raises(ValueError, match="negative power"):
+        a.power(-1)
+    with pytest.raises(ValueError, match="not square"):
+        ExactMatrix.zeros(2, 3).n
+    for other in (Composition.of(1, 1), Composition.of(2, 2)):
+        with pytest.raises(ValueError, match="does not match"):
+            a.block(other, 1, 1)
+        with pytest.raises(ValueError, match="does not match"):
+            a.window(other, 1, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        a.block(d, 1, 3)
+    # the window is checked by the composition it is taken from
+    for i, j in ((0, 1), (2, 1), (1, 3)):
+        with pytest.raises(ValueError, match=f"window \\({i},{j}\\) out of range"):
+            a.window(d, i, j)
 
 
 def test_prime_bounded_by_int64_products(monkeypatch):

@@ -50,6 +50,20 @@ def test_in_nilradical():
         in_nilradical(ExactMatrix.identity(3), d)
 
 
+def test_exact_predicates_refuse_a_matrix_outside_the_nilradical():
+    d = Composition.of(2, 1, 2)
+    bad = ExactMatrix.from_triples(5, [(0, 1, 1)])     # inside diagonal block 1
+    for predicate in (lambda a: rank_defect(a, d, 1, 3, 1),
+                      lambda a: in_stratum(a, d, 1, 3),
+                      lambda a: defect_profile(a, d),
+                      lambda a: separates(a, d, (1, 3)),
+                      lambda a: is_richardson(a, d)):
+        with pytest.raises(ValueError, match="nilradical"):
+            predicate(bad)
+    with pytest.raises(ValueError, match="power must be >= 1"):
+        rank_defect(richardson_element(d), d, 1, 3, 0)
+
+
 def test_rank_defect_on_richardson_is_false():
     rng = random.Random(5)
     for _ in range(15):

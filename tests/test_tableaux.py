@@ -25,6 +25,9 @@ RUNNING = Composition.of(7, 5, 2, 3, 5, 1, 2, 6, 5)
 
 
 def test_tableau_validation():
+    for rows in ((), ((1,), ())):
+        with pytest.raises(ValueError, match="non-empty"):
+            YoungTableau(rows)
     with pytest.raises(ValueError):
         YoungTableau(((1, 1),))          # row not strictly increasing
     with pytest.raises(ValueError):
@@ -88,6 +91,19 @@ def test_tableaux_with_content_edge_cases():
 def test_tableaux_with_content_not_dominated_is_empty():
     # lambda((2,2)) = (2,2); shape (3,1) is not below it
     assert tableaux_with_content((3, 1), Composition.of(2, 2)) == []
+
+
+def test_shape_and_chain_constructors_refuse_malformed_input():
+    d = Composition.of(1, 2)
+    for build in (tableaux_with_content, shape_chains):
+        with pytest.raises(ValueError, match="not a partition"):
+            build((1, 2), d)
+        with pytest.raises(ValueError, match="weight mismatch"):
+            build((2,), d)
+    with pytest.raises(ValueError, match="row 1 by more than one"):
+        chain_to_tableau(((1,), (3,)), d)
+    with pytest.raises(ValueError, match="do not match the composition"):
+        chain_to_tableau(((1,), (1, 1)), d)
 
 
 def test_chain_bijection_counts_small():

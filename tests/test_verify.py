@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import rorc.matrices
 import rorc.verify
 from rorc import (
     Composition,
@@ -61,9 +62,16 @@ def test_config_bounds_field_by_int64_products(monkeypatch):
     def refuse(p):
         raise AssertionError(f"trial division of {p}")
 
-    monkeypatch.setattr(rorc.verify, "_is_prime", refuse)
+    monkeypatch.setattr(rorc.matrices, "_is_prime", refuse)
     with pytest.raises(ConfigError, match="2\\^63"):
         ExperimentConfig(d=Composition.of(1, 1), fieldsize=2**89 - 1)
+
+
+def test_config_refuses_a_field_size_that_is_not_an_integer_of_at_least_two():
+    # 2.5 passed the trial division as prime, and the sample then failed in numpy
+    for q in (1, 0, -7, 2.5, True):
+        with pytest.raises(ConfigError, match="integer of at least 2"):
+            ExperimentConfig(d=Composition.of(1, 1), fieldsize=q)
 
 
 def test_exhaustive_trivial_cases():
