@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# Matrices ranked together by window_rank_table: bounds the working set
-# whatever the size of the batch handed in.
-_SLICE = 256
+# Matrix entries ranked together by window_rank_table: bounds the working
+# set whatever the size of the batch handed in (202 matrices of the running
+# example, n = 36; a whole decode batch of 4,096 matrices up to n = 8).
+_SLICE = 2**18
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -60,9 +61,12 @@ def _eliminate(m: np.ndarray, p: int, first) -> np.ndarray:
 
     Returns ``(B, c)`` with the pivot row of each column, or r where the
     column has none; it works on a batch-last copy in the type of
-    ``_work_type(p)`` (see above).  A free-row
-    mask replaces row swaps; a member without a pivot in the current column
-    is left unchanged (its pivot scale is 1, and no row of it is retired).
+    ``_work_type(p)`` (see above).  A free-row mask replaces row swaps.  The
+    copy has one more row, at index r: a sentinel of all ones, always free
+    and never in the live block.  A member without a pivot in the current
+    column finds the sentinel through the same ``argmax``, so its pivot is r
+    and its pivot scale 1, its free rows are zero in the column, and it is
+    left unchanged; a step in which every member finds it is skipped.
     Free rows above the pivot are zero in its column, so only rows below it
     change by more than a nonzero scale.
 
@@ -83,33 +87,32 @@ def _eliminate(m: np.ndarray, p: int, first) -> np.ndarray:
     """
     nb, nr, nc = m.shape
     dtype, limit = _work_type(p)
-    w = m.transpose(1, 2, 0).astype(dtype, order="C")
+    w = np.empty((nr + 1, nc, nb), dtype=dtype)
+    w[:nr] = m.transpose(1, 2, 0)
+    w[nr] = 1                                   # the sentinel row
     members = np.arange(nb)
-    free = np.ones((nr, nb), dtype=bool)
-    pivots = np.full((nc, nb), nr, dtype=np.int64)
-    product = np.empty_like(w)
+    free = np.ones((nr + 1, nb), dtype=bool)
+    pivots = np.empty((nc, nb), dtype=np.int64)
+    product = np.empty((nr, nc, nb), dtype=dtype)
     bound = p - 1
     for col, top in enumerate(first):
         column = w[top:, col]
         if bound >= p:
             column = _mod(column, p)
         rfree = free[top:]
-        cand = np.logical_and(rfree, column)
-        has = cand.any(0)
-        if not has.any():
+        piv = np.logical_and(rfree, column).argmax(0)
+        pivots[col] = piv + top
+        if piv.min() == nr - top:           # every member picked the sentinel
             continue
-        piv = cand.argmax(0)
         row = w[top:, col:][piv, :, members]     # (B, 1 + live columns)
         if bound >= p:
             row = _mod(row, p)
-        on = has.nonzero()[0]
-        pivots[col, on] = piv[on] + top
-        rfree[piv[on], on] = False
-        pv = np.where(has, row[:, 0], 1)
-        live = w[top:, col + 1:]
+        rfree[piv, members] = False
+        free[nr] = True
+        live = w[top:nr, col + 1:]
         prod = product[:live.shape[0], :live.shape[1]]
-        np.multiply((column * rfree)[:, None], row[:, 1:].T, out=prod)
-        live *= pv
+        np.multiply((column[:-1] * rfree[:-1])[:, None], row[:, 1:].T, out=prod)
+        live *= row[:, 0].copy()                # contiguous: a faster multiply
         live -= prod
         bound = bound * (p - 1) + (p - 1) ** 2
         if bound * (p - 1) + (p - 1) ** 2 > limit:    # the next update could wrap
@@ -207,18 +210,21 @@ def window_rank_table(mats, plan, p):
     The same block pattern bounds the elimination: the rows of each column
     that the pattern keeps zero are neither searched nor updated, a bound
     the plan derives once per power from the offsets (``_corner_bound``).
-    Slices of _SLICE matrices hold one corner at a time.
+    The batch is cut into slices of equal size, each of at most _SLICE
+    entries (or one matrix), which hold one corner at a time.
     """
     mats = np.asarray(mats, dtype=np.int64)
     o, npairs, outside, queries = plan
     t = len(o) - 1
     nb = mats.shape[0]
     table = np.full((nb, npairs, t - 1), -1, dtype=np.int64)
-    for start in range(0, nb, _SLICE):
-        a = _mod(mats[start:start + _SLICE], p)
+    slices = max(1, -(-nb * o[t] ** 2 // _SLICE))
+    step = max(1, -(-nb // slices))
+    for start in range(0, nb, step):
+        a = _mod(mats[start:start + step], p)
         if a[:, outside].any():
             raise ValueError("matrix entry outside the strictly upper block pattern")
-        rows = table[start:start + _SLICE]
+        rows = table[start:start + step]
         corner = a[:, :o[t - 1], o[1]:]
         for k, pis, nrows, ncols, wide, first in queries:
             if k > 1:

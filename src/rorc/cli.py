@@ -56,12 +56,35 @@ def _default_seed() -> int:
         raise ConfigError(f"RORC_SEED must be an integer, got {raw!r}") from None
 
 
+# the characters of a list of int lists in compact JSON
+_INT_ROWS = str.maketrans("", "", "0123456789-,[]")
+
+
+def _int_rows(text: str, rows: int) -> bool:
+    """Whether ``text``, the compact JSON of a list of ``rows`` >= 1 items,
+    is that of a list of non-empty int lists; every test runs in C.
+
+    Only digits, ``-``, ``,`` and brackets: every item is an int or a list.
+    With L lists among the items and D lists nested deeper, there are
+    1 + L + D ``[``, so rows + 1 of them means D items are ints.  Each
+    ``],[`` joins two sibling lists: at most L - 1 among the items and
+    D - 1 deeper, fewer than rows - 1 when D > 0.  So rows - 1 of them
+    leave no int item and no deeper list, and without ``[]`` no row is
+    empty.
+    """
+    return (not text.translate(_INT_ROWS) and "[]" not in text
+            and text.count("[") == rows + 1 and text.count("],[") == rows - 1)
+
+
 def _dumps(obj, nl: str = "\n") -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, without the pure-Python
     encoder that ``indent`` forces.  Ints and lists of ints are joined here;
-    every other scalar and every key goes through ``json.dumps``, and a dict
-    with a non-str key through ``json.dumps(obj, indent=2)``.  ``nl`` is the
-    newline plus the indent of the current level."""
+    a list of non-empty int lists, such as a matrix's entries, is encoded by
+    one compact ``json.dumps`` in C and indented by ``str.replace`` (see
+    ``_int_rows``).  Every other scalar and every key goes through
+    ``json.dumps``, and a dict with a non-str key through
+    ``json.dumps(obj, indent=2)``.  ``nl`` is the newline plus the indent of
+    the current level."""
     if type(obj) is int:
         return str(obj)
     inner = nl + "  "
@@ -70,6 +93,11 @@ def _dumps(obj, nl: str = "\n") -> str:
             return "[]"
         if all(type(v) is int for v in obj):
             items = map(str, obj)
+        elif isinstance(obj[0], (list, tuple)) and _int_rows(
+                text := json.dumps(obj, separators=(",", ",")), len(obj)):
+            deeper = inner + "  "
+            items = ("[" + deeper + row.replace(",", "," + deeper) + inner + "]"
+                     for row in text[2:-2].split("],["))
         else:
             items = (_dumps(v, inner) for v in obj)
         return "[" + inner + ("," + inner).join(items) + nl + "]"

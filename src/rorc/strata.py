@@ -36,10 +36,12 @@ from .compositions import (
     gamma_pairs,
     kappa,
     lambda_pairs,
+    low_intermediates,
     richardson_partition,
 )
 from .diagrams import (
     LineDiagram,
+    _max_window_rank,
     chain_window_rank,
     complete_diagram,
     contributing_chains,
@@ -48,7 +50,7 @@ from .diagrams import (
     tableau_diagram,
 )
 from .matrices import ExactMatrix
-from .tableaux import YoungTableau, minimal_movement
+from .tableaux import YoungTableau, minimal_movement, richardson_tableau, shared_row
 
 
 class WitnessSearchError(RuntimeError):
@@ -198,7 +200,14 @@ def decompose(d) -> Decomposition:
 
 @dataclass(frozen=True, eq=False)
 class WindowTables:
-    """Per-composition arrays driving the mod-p kernels and flag algebra."""
+    """Per-composition arrays driving the mod-p kernels and flag algebra.
+
+    _window_tables keeps one per composition, so every array here is
+    read-only.  The members that only some callers need are built on first
+    use and kept with the table: ``plan`` for the rank kernel, and
+    ``lemma_masks`` and ``symbolic_violations`` for the verifier's lemma
+    checks.
+    """
 
     d: Composition
     pairs: tuple[tuple[int, int], ...]
@@ -213,12 +222,58 @@ class WindowTables:
     full_index: int                 # index of the full window (1, t); 0 when t = 1
     positions: np.ndarray           # (m, 2) free entries of the pattern
 
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
     @cached_property
     def plan(self):
         """The fixed part of the rank kernel for this pattern
         (_kernels.window_plan), built on the first rank_tables call: the
         witness search, which ranks nothing mod p, never builds it."""
         return _kernels.window_plan(self.d.offsets, self.pairs)
+
+    @cached_property
+    def lemma_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(low, high, flank), read-only: ``low`` and ``high`` mask the
+        (pair, exponent) cells below and above kappa (``high`` only for pairs
+        with a small intermediate); ``flank[P, Q]`` marks Q = (i, m) or
+        (m, j) for a small intermediate m of P = (i, j)."""
+        index = {pq: n for n, pq in enumerate(self.pairs)}
+        flank = np.zeros((len(self.pairs), len(self.pairs)), dtype=bool)
+        for n, (i, j) in enumerate(self.pairs):
+            for m in low_intermediates(self.d, i, j):
+                flank[n, [index[i, m], index[m, j]]] = True
+        power = np.arange(1, self.kmax + 1)
+        low = power < self.kappas[:, None]
+        high = (power > self.kappas[:, None]) & flank.any(axis=1)[:, None]
+        for mask in (low, high, flank):
+            mask.flags.writeable = False
+        return low, high, flank
+
+    @cached_property
+    def symbolic_violations(self) -> tuple[tuple, tuple]:
+        """The violations of the two lemma checks that need no matrices,
+        in pair order: the windows (i, j, k, r) where the maximal rank r of
+        the k-th power, 1 <= k <= t, is positive although k > j - i or zero
+        although k <= j - i; and the pairs (i, j) whose count of entries
+        strictly between i and j in their shared row of the maximal tableau
+        is not kappa(i, j) - 1."""
+        d = self.d
+        # the thresholds hold r for k <= j - i, and r(i,j,k) = r(i,j,j-i+1) beyond
+        positivity = []
+        for (i, j), ranks in zip(self.pairs, self.thresholds.tolist()):
+            beyond = _max_window_rank(d, i, j, j - i + 1)
+            for k in range(1, d.t + 1):
+                r = ranks[k - 1] if k <= j - i else beyond
+                if (r > 0) != (k <= j - i):
+                    positivity.append((i, j, k, r))
+        rows = richardson_tableau(d).rows
+        identity = tuple(
+            (i, j) for (i, j), kap in zip(self.pairs, self.kappas.tolist())
+            if sum(1 for v in rows[shared_row(d, i, j) - 1] if i < v < j) != kap - 1)
+        return tuple(positivity), identity
 
 
 def window_tables(d) -> WindowTables:

@@ -27,13 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .compositions import (
-    Composition,
-    as_composition,
-    lambda_pairs,
-    low_intermediates,
-)
-from .diagrams import _max_window_rank, complete_diagram, contributing_chains
+from .compositions import Composition, _is_int, as_composition, lambda_pairs
+from .diagrams import complete_diagram, contributing_chains
 from .matrices import DEFAULT_PRIME, _check_modulus
 from .strata import (
     WindowTables,
@@ -43,7 +38,6 @@ from .strata import (
     stratum_flags,
     window_tables,
 )
-from .tableaux import richardson_tableau, shared_row
 
 REPORT_SCHEMA = "rorc.report/1"
 _VIOLATION_CAP = 5
@@ -76,6 +70,9 @@ class ExperimentConfig:
             _check_modulus(self.fieldsize, self.d.n)
         except ValueError as exc:
             raise ConfigError(f"field size: {exc}") from None
+        for name in ("trials", "seed", "dim_cap"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
         if self.seed < 0:
@@ -256,23 +253,7 @@ def _populations(cfg: ExperimentConfig, tab: WindowTables):
 _LEMMAS = ("below_threshold", "above_threshold", "outside_gamma", "absorbed")
 
 
-def _lemma_masks(d: Composition, tab: WindowTables):
-    """(low, high, flank): ``low`` and ``high`` mask the (pair, exponent)
-    cells below and above kappa (``high`` only for pairs with a small
-    intermediate); ``flank[P, Q]`` marks Q = (i, m) or (m, j) for a small
-    intermediate m of P = (i, j)."""
-    index = {pq: n for n, pq in enumerate(tab.pairs)}
-    flank = np.zeros((len(tab.pairs), len(tab.pairs)), dtype=bool)
-    for n, (i, j) in enumerate(tab.pairs):
-        for m in low_intermediates(d, i, j):
-            flank[n, [index[i, m], index[m, j]]] = True
-    power = np.arange(1, tab.kmax + 1)
-    low = power < tab.kappas[:, None]
-    high = (power > tab.kappas[:, None]) & flank.any(axis=1)[:, None]
-    return low, high, flank
-
-
-def _flags(ranks: np.ndarray, tab: WindowTables, masks, parts) -> dict[str, np.ndarray]:
+def _flags(ranks: np.ndarray, tab: WindowTables, parts) -> dict[str, np.ndarray]:
     """Every per-row flag a check counts, records or fails on, for one ranked
     array and the parts it holds (as yielded by _populations).
 
@@ -297,7 +278,7 @@ def _flags(ranks: np.ndarray, tab: WindowTables, masks, parts) -> dict[str, np.n
     asserts, membership in some stratum indexed inside gamma_pairs(d) (the
     single-flank routing of the proof is provably too strong).
     """
-    low, high, flank = masks
+    low, high, flank = tab.lemma_masks
     defects = defect_flags(ranks, tab)      # (B, P, kmax)
     stratum = stratum_flags(defects, tab)   # (B, P): defective at kappa
     covered = stratum[:, tab.lam].any(axis=1)
@@ -341,36 +322,21 @@ def _record(violations: list, kind: str, mats: np.ndarray, flag: np.ndarray, q: 
         violations.append(record)
 
 
-def _symbolic_checks(d: Composition, tab: WindowTables) -> list[CheckResult]:
-    """The lemma checks that need no matrices: window rank positivity and
-    the box-count identity between kappa and the shared tableau row."""
-    # window rank positivity: r(i,j,k) > 0 exactly for k <= j - i; the
-    # table holds r for k <= j - i, and r(i,j,k) = r(i,j,j-i+1) beyond
-    pos_bad = []
-    for (i, j), ranks in zip(tab.pairs, tab.thresholds.tolist()):
-        beyond = _max_window_rank(d, i, j, j - i + 1)
-        for k in range(1, d.t + 1):
-            r = ranks[k - 1] if k <= j - i else beyond
-            if (r > 0) != (k <= j - i):
-                pos_bad.append((i, j, k, r))
-
-    # kappa vs the shared row of the maximal tableau
-    tb = richardson_tableau(d)
-    kt_bad = []
-    for (i, j), kap in zip(tab.pairs, tab.kappas.tolist()):
-        row = tb.rows[shared_row(d, i, j) - 1]
-        between = sum(1 for v in row if i < v < j)
-        if between != kap - 1:
-            kt_bad.append((i, j))
+def _symbolic_checks(tab: WindowTables) -> list[CheckResult]:
+    """The lemma checks that need no matrices, window rank positivity and the
+    box-count identity between kappa and the shared tableau row, as fresh
+    results from the violations kept with the table."""
+    positivity, identity = tab.symbolic_violations
+    windows = len(tab.pairs)
     return [
         CheckResult(
-            "empty_stratum_symbolic", not pos_bad,
-            {"windows": (d.t * (d.t - 1)) // 2, "violations": len(pos_bad)},
-            [{"kind": "rank_positivity", "window": v} for v in pos_bad[:_VIOLATION_CAP]]),
+            "empty_stratum_symbolic", not positivity,
+            {"windows": windows, "violations": len(positivity)},
+            [{"kind": "rank_positivity", "window": v} for v in positivity[:_VIOLATION_CAP]]),
         CheckResult(
-            "kappa_tableau_identity", not kt_bad,
-            {"pairs": (d.t * (d.t - 1)) // 2, "violations": len(kt_bad)},
-            [{"kind": "kappa_tableau", "pair": list(v)} for v in kt_bad[:_VIOLATION_CAP]]),
+            "kappa_tableau_identity", not identity,
+            {"pairs": windows, "violations": len(identity)},
+            [{"kind": "kappa_tableau", "pair": list(v)} for v in identity[:_VIOLATION_CAP]]),
     ]
 
 
@@ -422,15 +388,14 @@ def run_checks(cfg: ExperimentConfig, checks=("theorem", "lemmas")) -> Verificat
     for group in ("theorem", "lemmas"):
         if group in checks:
             if group == "lemmas":
-                results += _symbolic_checks(cfg.d, tab)
+                results += _symbolic_checks(tab)
             for name, population, counted, *rest in _ROWS[group]:
                 if population in (None, *populations):
                     results.append(CheckResult(name, True, dict.fromkeys(counted, 0)))
                     selected.append((results[-1], population, counted, *rest))
     if selected:
-        masks = _lemma_masks(cfg.d, tab)
         for mats, parts in _populations(cfg, tab):
-            f = _flags(rank_tables(mats, tab, cfg.fieldsize), tab, masks, parts)
+            f = _flags(rank_tables(mats, tab, cfg.fieldsize), tab, parts)
             for population, first, part, _ in parts:
                 for check, wanted, counted, recorded, fail, indexed in selected:
                     if wanted not in (None, population):
@@ -451,7 +416,7 @@ def run_checks(cfg: ExperimentConfig, checks=("theorem", "lemmas")) -> Verificat
                            else int(hits))
         if check.name == "generic_sampling":
             counts["richardson_frequency"] = counts["richardson"] / counts["trials"]
-    return VerificationReport(cfg.to_json_dict(), results, len(lambda_pairs(cfg.d)))
+    return VerificationReport(cfg.to_json_dict(), results, int(np.count_nonzero(tab.lam)))
 
 
 def random_composition(rng: np.random.Generator, max_t: int = 6,

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rorc.cli import _dumps, main
@@ -406,8 +406,20 @@ _SCALARS = st.one_of(
     st.integers(-(2 ** 200), 2 ** 200), st.floats(), st.text(),
     st.sampled_from(["", "\"", "\\", "\n\t\x00\x1f", "é", "\u2603", "\U0001f600", "\ud800"]))
 _NON_STR_KEYS = st.one_of(st.integers(), st.booleans(), st.none(), st.floats())
+# lists of non-empty int lists, which _dumps encodes in one compact pass, and
+# near misses that it must write item by item: one row holding a bool, a
+# float or a nested list, or nothing, or an int in place of a row
+_INT_ROWS = st.lists(st.lists(st.integers(), min_size=1, max_size=4), min_size=1, max_size=4)
+_ODD_ROW = st.one_of(
+    st.just([]), st.integers(),
+    st.tuples(st.lists(st.integers(), max_size=2),
+              st.one_of(st.booleans(), st.floats(), st.lists(st.integers(), max_size=2)))
+    .map(lambda t: [*t[0], t[1]]))
+_NEAR_INT_ROWS = st.tuples(_INT_ROWS, _ODD_ROW, st.integers(0, 4)).map(
+    lambda t: [*t[0][:t[2]], t[1], *t[0][t[2]:]])
 _JSON_LIKE = st.recursive(
-    st.one_of(_SCALARS, st.lists(st.integers()), st.lists(st.integers()).map(tuple)),
+    st.one_of(_SCALARS, st.lists(st.integers()), st.lists(st.integers()).map(tuple),
+              _INT_ROWS, _INT_ROWS.map(tuple), _NEAR_INT_ROWS),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
@@ -420,6 +432,9 @@ _JSON_LIKE = st.recursive(
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(obj=_JSON_LIKE)
+# an int item and a doubly nested row together hold as many brackets as rows
+@example(obj=[[1], 2, [[3]]])
+@example(obj=[[[1], [2]], 3, 4, [5]])
 def test_dumps_matches_json_indent_2(obj):
     assert _dumps(obj) == json.dumps(obj, indent=2)
 

@@ -372,6 +372,29 @@ def test_rank_mod_member_without_pivot_keeps_its_matrix():
         assert ((pivots == 6).any(0) & (pivots < 6).any(0)).all()
         assert pivot_rank(mats, p).tolist() == [
             ExactMatrix(m.tolist(), f"Fp:{p}").rank() for m in mats]
+    # a member without a pivot in a column picks the sentinel row, r: members
+    # that are all zero, and members whose first or last column has none,
+    # beside members that have one there, in every elimination type
+    for p in (2, 3, 7, 127, 32003, 32749, 32771, 1000003):
+        rng = np.random.default_rng(p)
+        mats = rng.integers(0, p, size=(8, 6, 6), dtype=np.int64)
+        mats[0] = 0
+        mats[1:3, :, 0] = 0
+        mats[3:5, :, 5] = mats[3:5, :, 4] * int(rng.integers(1, p)) % p
+        before = mats.copy()
+        pivots = _kernels._eliminate(mats, p, [0] * 6)
+        assert np.array_equal(mats, before)
+        for m, piv in zip(mats, pivots.tolist()):
+            ranks = [ExactMatrix(m[:, :c].tolist(), f"Fp:{p}").rank() if c else 0
+                     for c in range(7)]
+            # a column has a pivot exactly where it raises the rank of those before it
+            assert [v < 6 for v in piv] == [ranks[c + 1] > ranks[c] for c in range(6)]
+            assert all(0 <= v <= 6 for v in piv)
+        assert pivots[0].tolist() == [6] * 6
+        assert (pivots[1:3, 0] == 6).all() and (pivots[3:5, 5] == 6).all()
+        assert (pivots[5:, 0] < 6).all()
+        assert pivot_rank(mats, p).tolist() == [
+            ExactMatrix(m.tolist(), f"Fp:{p}").rank() for m in mats]
 
 
 def test_matmul_mod_matches_integer_products():
@@ -444,12 +467,14 @@ def _nilradical_batch(rng, d, tab, count, p):
 
 
 @pytest.mark.parametrize("nilradical", [True, False])
-def test_window_rank_table_matches_exact_windows(nilradical):
+def test_window_rank_table_matches_exact_windows(nilradical, monkeypatch):
     from rorc.strata import window_tables
 
     rng = np.random.default_rng(83)
     p = 101
-    count = _kernels._SLICE + 9  # crosses a slice boundary
+    # a budget of 500 entries cuts the batch into slices of 11 to 53 matrices
+    monkeypatch.setattr(_kernels, "_SLICE", 500)
+    count = 265
     if not nilradical:
         # the kernel ranks rectangles of global powers, which equal the
         # window powers only in the nilradical: anything else is refused
@@ -569,7 +594,7 @@ def _exact_window_table(mats, d, pairs, kmax, p):
     return out
 
 
-def test_window_rank_table_edge_cases():
+def test_window_rank_table_edge_cases(monkeypatch):
     from rorc.strata import window_tables
 
     rng = np.random.default_rng(89)
@@ -589,14 +614,16 @@ def test_window_rank_table_edge_cases():
     table = _kernels.window_rank_table(mats, _kernels.window_plan(d.offsets, short), p)
     assert np.array_equal(table, _exact_window_table(mats, d, short, tab.kmax, p))
     assert (table[:, :, 1:] == -1).all()
-    # an all-zero slice ranks 0 up to each span, -1 beyond
-    zeros = np.zeros((_kernels._SLICE, d.n, d.n), dtype=np.int64)
+    # an all-zero batch ranks 0 up to each span, -1 beyond
+    zeros = np.zeros((256, d.n, d.n), dtype=np.int64)
     table = _kernels.window_rank_table(zeros, tab.plan, p)
     spans = np.array([j - i for i, j in tab.pairs])
     expected = np.where(np.arange(1, tab.kmax + 1) <= spans[:, None], 0, -1)
     assert (table == expected).all()
-    # a batch that is not a multiple of _SLICE: every member as if alone
-    count = 2 * _kernels._SLICE - 3
+    # a batch cut into seven slices of 64 matrices and one of 61 (a budget
+    # of 64 matrices of 7 x 7): every member as if alone
+    monkeypatch.setattr(_kernels, "_SLICE", 64 * d.n ** 2)
+    count = 509
     mats = _nilradical_batch(rng, d, tab, count, p)
     table = _kernels.window_rank_table(mats, tab.plan, p)
     assert np.array_equal(table, np.concatenate(

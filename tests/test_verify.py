@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rorc.matrices
+import rorc.strata
 import rorc.verify
 from rorc import (
     Composition,
@@ -22,13 +23,13 @@ from rorc import (
     rank_defect,
     run_checks,
 )
+from rorc.cli import _dumps
 from rorc.strata import rank_tables, seeded_stream, window_tables
 from rorc.verify import (
     _BATCH,
     _LEMMAS,
     GL5_EXPECTED,
     _flags,
-    _lemma_masks,
     _populations,
     _uniform,
     compositions_of,
@@ -65,6 +66,15 @@ def test_config_bounds_field_by_int64_products(monkeypatch):
     monkeypatch.setattr(rorc.matrices, "_is_prime", refuse)
     with pytest.raises(ConfigError, match="2\\^63"):
         ExperimentConfig(d=Composition.of(1, 1), fieldsize=2**89 - 1)
+
+
+@pytest.mark.parametrize("name", ["trials", "seed", "dim_cap"])
+@pytest.mark.parametrize("value", [2.5, True])
+def test_config_refuses_a_count_that_is_not_an_integer(name, value):
+    # trials=2.5 failed in run_checks with a TypeError; trials=True, seed=True
+    # and dim_cap=2.5 ran to a report
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        ExperimentConfig(d=Composition.of(2, 1, 2), **{name: value})
 
 
 def test_config_refuses_a_field_size_that_is_not_an_integer_of_at_least_two():
@@ -216,14 +226,14 @@ def test_symbolic_violations_are_counted_and_capped(monkeypatch):
     # with every window rank forced to 0 and kappa to 0, every window power
     # k <= j - i breaks rank positivity and every pair breaks the box count;
     # the checks read the ranks and kappas of the window table, and the rank
-    # beyond the span from diagrams._max_window_rank
+    # beyond the span from diagrams._max_window_rank (as strata imports it)
     from dataclasses import replace
 
     real = rorc.verify.window_tables
     monkeypatch.setattr(rorc.verify, "window_tables", lambda d: replace(
         real(d), thresholds=np.minimum(real(d).thresholds, 0),
         kappas=np.zeros_like(real(d).kappas)))
-    monkeypatch.setattr(rorc.verify, "_max_window_rank", lambda d, i, j, k: 0)
+    monkeypatch.setattr(rorc.strata, "_max_window_rank", lambda d, i, j, k: 0)
     cfg = ExperimentConfig(d=Composition.of(1, 1, 1, 1), mode="exhaustive", fieldsize=2)
     rep = run_checks(cfg, ("lemmas",))
     positivity = _check(rep, "empty_stratum_symbolic")
@@ -414,9 +424,8 @@ def test_lemma_masks_match_pointwise_definitions():
         d = Composition(parts)
         cfg = ExperimentConfig(d=d, mode="sample", fieldsize=3, trials=25, seed=5)
         tab = window_tables(d)
-        masks = _lemma_masks(d, tab)
         for mats, parts in _populations(cfg, tab):
-            verdicts = _flags(rank_tables(mats, tab, 3), tab, masks, parts)
+            verdicts = _flags(rank_tables(mats, tab, 3), tab, parts)
             for r, mat in enumerate(mats):
                 expected = _pointwise_lemmas(ExactMatrix(mat.tolist(), "Fp:3"), d)
                 assert {name: bool(verdicts[name][r]) for name in _LEMMAS} == expected
@@ -443,9 +452,35 @@ def test_covered_implies_defective_and_every_matrix_is_generic_or_defective():
         arrays = list(_populations(cfg, tab))
         assert arrays
         for mats, parts in arrays:
-            f = _flags(rank_tables(mats, tab, cfg.fieldsize), tab, _lemma_masks(cfg.d, tab), parts)
+            f = _flags(rank_tables(mats, tab, cfg.fieldsize), tab, parts)
             assert not (f["covered"] & ~f["defective"]).any()
             assert (f["richardson"] | f["defective"]).all()
+
+
+def test_repeated_verify_reads_the_cached_tables_without_changing_them():
+    # a second report reads the lemma masks and symbolic violations that the
+    # first left with the composition's table, and a cleared cache rebuilds
+    # them; editing a report must not reach the next one
+    cfg = ExperimentConfig(d=RUNNING, fieldsize=32003, trials=20, seed=5)
+    rorc.strata._window_tables.cache_clear()
+    first = run_checks(cfg)
+    text = _dumps(first.to_json_dict())
+    assert _check(first, "lemma_below_threshold").violations
+    for check in first.checks:
+        for key in check.counts:
+            check.counts[key] = -1
+        for record in check.violations:
+            for value in record.values():
+                if isinstance(value, list):
+                    value.append(-1)
+        check.violations.append({"kind": "edited"})
+    assert _dumps(run_checks(cfg).to_json_dict()) == text
+    rorc.strata._window_tables.cache_clear()
+    assert _dumps(run_checks(cfg).to_json_dict()) == text
+    tab = window_tables(RUNNING)
+    arrays = [v for v in vars(tab).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 8 and len(tab.lemma_masks) == 3
+    assert not any(a.flags.writeable for a in (*arrays, *tab.lemma_masks))
 
 
 # SHA-256 of the sampled populations below (matrix bytes, then the forced
