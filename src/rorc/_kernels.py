@@ -24,18 +24,15 @@ single elimination.  The loop takes a per-column first row, which
 ``window_plan`` derives from the block pattern of A^k, so the rows the
 pattern keeps zero are neither searched nor updated.
 
-These kernels serve the verifier's populations alone; ``ExactMatrix`` ranks
-and multiplies in plain Python over Q and F_p, an independent check on them.
+These kernels serve the verifier's populations alone, and rank each batch
+they are given whole: the verifier bounds the size of the arrays it hands
+in.  ``ExactMatrix`` ranks and multiplies in plain Python over Q and F_p, an
+independent check on them.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Matrix entries ranked together by window_rank_table: bounds the working
-# set whatever the size of the batch handed in (202 matrices of the running
-# example, n = 36; a whole decode batch of 4,096 matrices up to n = 8).
-_SLICE = 2**18
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -66,7 +63,8 @@ def _eliminate(m: np.ndarray, p: int, first) -> np.ndarray:
     and never in the live block.  A member without a pivot in the current
     column finds the sentinel through the same ``argmax``, so its pivot is r
     and its pivot scale 1, its free rows are zero in the column, and it is
-    left unchanged; a step in which every member finds it is skipped.
+    left unchanged; a step in which every member finds it (every step of an
+    empty batch) is skipped.
     Free rows above the pivot are zero in its column, so only rows below it
     change by more than a nonzero scale.
 
@@ -102,7 +100,7 @@ def _eliminate(m: np.ndarray, p: int, first) -> np.ndarray:
         rfree = free[top:]
         piv = np.logical_and(rfree, column).argmax(0)
         pivots[col] = piv + top
-        if piv.min() == nr - top:           # every member picked the sentinel
+        if (piv == nr - top).all():         # every member picked the sentinel
             continue
         row = w[top:, col:][piv, :, members]     # (B, 1 + live columns)
         if bound >= p:
@@ -210,30 +208,24 @@ def window_rank_table(mats, plan, p):
     The same block pattern bounds the elimination: the rows of each column
     that the pattern keeps zero are neither searched nor updated, a bound
     the plan derives once per power from the offsets (``_corner_bound``).
-    The batch is cut into slices of equal size, each of at most _SLICE
-    entries (or one matrix), which hold one corner at a time.
+    The batch is ranked in one pass, one corner at a time.
     """
     mats = np.asarray(mats, dtype=np.int64)
     o, npairs, outside, queries = plan
     t = len(o) - 1
-    nb = mats.shape[0]
-    table = np.full((nb, npairs, t - 1), -1, dtype=np.int64)
-    slices = max(1, -(-nb * o[t] ** 2 // _SLICE))
-    step = max(1, -(-nb // slices))
-    for start in range(0, nb, step):
-        a = _mod(mats[start:start + step], p)
-        if a[:, outside].any():
-            raise ValueError("matrix entry outside the strictly upper block pattern")
-        rows = table[start:start + step]
-        corner = a[:, :o[t - 1], o[1]:]
-        for k, pis, nrows, ncols, wide, first in queries:
-            if k > 1:
-                corner = matmul_mod(corner[:, :o[t - k], :o[t - 1] - o[k - 1]],
-                                    a[:, o[k - 1]:o[t - 1], o[k]:], p)
-            flipped = corner[:, ::-1]
-            if wide:
-                flipped = flipped.transpose(0, 2, 1)
-            rows[:, pis, k - 1] = _leading_ranks(flipped, nrows, ncols, first, p)
+    table = np.full((mats.shape[0], npairs, t - 1), -1, dtype=np.int64)
+    a = _mod(mats, p)
+    if a[:, outside].any():
+        raise ValueError("matrix entry outside the strictly upper block pattern")
+    corner = a[:, :o[t - 1], o[1]:]
+    for k, pis, nrows, ncols, wide, first in queries:
+        if k > 1:
+            corner = matmul_mod(corner[:, :o[t - k], :o[t - 1] - o[k - 1]],
+                                a[:, o[k - 1]:o[t - 1], o[k]:], p)
+        flipped = corner[:, ::-1]
+        if wide:
+            flipped = flipped.transpose(0, 2, 1)
+        table[:, pis, k - 1] = _leading_ranks(flipped, nrows, ncols, first, p)
     return table
 
 

@@ -15,9 +15,8 @@ matrix (chain_window_rank), the maximal ones on the complete diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
-from .compositions import Composition, as_composition
+from .compositions import Composition, _is_int, as_composition
 from .matrices import ExactMatrix
 
 Edge = tuple[int, int]
@@ -179,21 +178,19 @@ def chain_window_rank(visits, i: int, j: int, k: int) -> int:
 def max_window_rank(d, i: int, j: int, k: int) -> int:
     """Rank of the k-th power of the window (i, j) of a dense-orbit element.
 
-    This is chain_window_rank on the complete diagram, whose chains visit the
-    columns window_chains(d, 1, t); equivalently the sum of the j-i-k+1
-    smallest window parts.  Positive exactly when k <= j - i.
+    The window of the complete diagram is a nilpotent of the window's
+    generic Jordan type: one chain per height h through the window's parts
+    of size >= h.  So the rank of its k-th power is the sum of the j-i-k+1
+    smallest window parts, which chain_window_rank on window_chains(d, 1, t)
+    counts chain by chain.  Positive exactly when k <= j - i.
     """
     d = as_composition(d)
     d.check_pair(i, j)
+    if not _is_int(k):
+        raise ValueError(f"power must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
-    return _max_window_rank(d, i, j, min(k, j - i + 1))
-
-
-# bounded like strata._window_tables; a composition of t = 6 has at most 50 keys
-@lru_cache(maxsize=4096)
-def _max_window_rank(d: Composition, i: int, j: int, k: int) -> int:
-    return chain_window_rank(window_chains(d, 1, d.t), i, j, k)
+    return sum(sorted(d.parts[i - 1 : j])[: max(j - i + 1 - k, 0)])
 
 
 def render_ascii(diagram: LineDiagram) -> str:

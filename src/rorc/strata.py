@@ -31,6 +31,7 @@ import numpy as np
 from . import _kernels
 from .compositions import (
     Composition,
+    _is_int,
     as_composition,
     dominance_leq,
     gamma_pairs,
@@ -41,7 +42,6 @@ from .compositions import (
 )
 from .diagrams import (
     LineDiagram,
-    _max_window_rank,
     chain_window_rank,
     complete_diagram,
     contributing_chains,
@@ -84,11 +84,9 @@ def rank_defect(a: ExactMatrix, d, i: int, j: int, k: int) -> bool:
     Always False for k > j - i, where the threshold is zero.
     """
     d = as_composition(d)
-    d.check_pair(i, j)
-    if k < 1:
-        raise ValueError(f"power must be >= 1, got {k}")
+    positive = max_window_rank(d, i, j, k) > 0     # checks the pair and the power
     flags = _exact_defects(a, d)
-    return k <= j - i and bool(flags[window_tables(d).pairs.index((i, j)), k - 1])
+    return positive and bool(flags[window_tables(d).pairs.index((i, j)), k - 1])
 
 
 def in_stratum(a: ExactMatrix, d, i: int, j: int) -> bool:
@@ -264,7 +262,7 @@ class WindowTables:
         # the thresholds hold r for k <= j - i, and r(i,j,k) = r(i,j,j-i+1) beyond
         positivity = []
         for (i, j), ranks in zip(self.pairs, self.thresholds.tolist()):
-            beyond = _max_window_rank(d, i, j, j - i + 1)
+            beyond = max_window_rank(d, i, j, j - i + 1)
             for k in range(1, d.t + 1):
                 r = ranks[k - 1] if k <= j - i else beyond
                 if (r > 0) != (k <= j - i):
@@ -450,10 +448,11 @@ def witness(d, pair: tuple[int, int], seed: int = 0, budget: int = 100_000) -> E
     d = as_composition(d)
     tab = window_tables(d)
     pi = _lambda_index(tab, pair)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    for name, value in (("seed", seed), ("budget", budget)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     blk = d.block_of
     kappas = tab.kappas.tolist()
     strata = [(qi == pi, k, l, kappas[qi], int(tab.thresholds[qi, kappas[qi] - 1]))

@@ -42,7 +42,7 @@ from .strata import (
 REPORT_SCHEMA = "rorc.report/1"
 _VIOLATION_CAP = 5
 _BATCH = 4096
-_ENTRIES = 2**20    # matrix entries in one sampled array: 8 MB of int64
+_ENTRIES = 2**19    # matrix entries in one array to rank: 4 MB of int64
 
 
 class ConfigError(ValueError):
@@ -208,28 +208,30 @@ def _populations(cfg: ExperimentConfig, tab: WindowTables):
     populations it holds, in row order, as (population, first_index, rows,
     forced).
 
-    Exhaustive mode yields each decode batch alone.  The sampled population
-    is the generic rows and then the forced rows (cfg.trials each; none are
-    forced when t = 1), cut into arrays of at most _BATCH rows, or fewer
-    where their matrices would hold more than _ENTRIES entries, so memory
-    does not grow with cfg.trials.  Each sample comes from its own stream in
+    Every array holds at most _BATCH rows, or fewer where their matrices
+    would hold more than _ENTRIES entries (404 rows of the running example's
+    36 x 36 matrices), and is ranked whole, so memory grows neither with the
+    scan nor with cfg.trials.  Exhaustive mode yields each decode batch
+    alone.  The sampled population is the generic rows and then the forced
+    rows (cfg.trials each; none are forced when t = 1), and an array may end
+    one sample and start the other.  Each sample comes from its own stream in
     the order it has when drawn whole: the generic entries and the forced
     background entries row by row, then the forced per-trial draws.  A
     second stream of the forced key makes those draws once it has skipped
-    every background entry, chunk by chunk, so one array or many give the
+    every background entry, array by array, so one array or many give the
     same matrices.
     """
     n, trials = cfg.d.n, cfg.trials
+    size = max(1, min(_BATCH, _ENTRIES // n ** 2))
     if cfg.mode == "exhaustive":
         total = _exhaustive_total(cfg)
         pos_r, pos_c = tab.positions.T
-        for first in range(0, total, _BATCH):
-            count = min(_BATCH, total - first)
+        for first in range(0, total, size):
+            count = min(size, total - first)
             mats = _kernels.decode_matrices(first, count, cfg.fieldsize, pos_r, pos_c, n)
             yield mats, (("exhaustive", first, slice(None), None),)
         return
     total = 2 * trials if tab.pairs else trials     # t = 1: nothing can be forced
-    size = max(1, min(_BATCH, _ENTRIES // n ** 2))
     # (start, mid, stop): the rows of one array, the generic ones before mid
     cuts = [(start, min(max(trials, start), start + size, total), min(start + size, total))
             for start in range(0, total, size)]

@@ -155,15 +155,17 @@ def test_max_window_rank_positivity():
                     assert (max_window_rank(d, i, j, k) > 0) == (k <= j - i)
 
 
-def test_max_window_rank_equals_smallest_parts_sum():
-    rng = random.Random(17)
-    for _ in range(50):
-        d = Composition(tuple(rng.randint(1, 6) for _ in range(rng.randint(2, 7))))
-        for i in range(1, d.t):
-            for j in range(i + 1, d.t + 1):
-                w = sorted(d.parts[i - 1 : j])
-                for k in range(1, j - i + 1):
-                    assert max_window_rank(d, i, j, k) == sum(w[: j - i - k + 1])
+def test_max_window_rank_equals_the_complete_diagrams_chain_count():
+    # the closed form against the chains of the complete diagram, counted by
+    # chain_window_rank, on every composition of n <= 9 and power k <= t + 1
+    for n in range(1, 10):
+        for parts in compositions_of(n):
+            d = Composition(parts)
+            visits = window_chains(d, 1, d.t)
+            for i in range(1, d.t):
+                for j in range(i + 1, d.t + 1):
+                    for k in range(1, d.t + 2):
+                        assert max_window_rank(d, i, j, k) == chain_window_rank(visits, i, j, k)
 
 
 def test_max_window_rank_is_exact_window_rank():

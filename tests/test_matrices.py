@@ -467,13 +467,11 @@ def _nilradical_batch(rng, d, tab, count, p):
 
 
 @pytest.mark.parametrize("nilradical", [True, False])
-def test_window_rank_table_matches_exact_windows(nilradical, monkeypatch):
+def test_window_rank_table_matches_exact_windows(nilradical):
     from rorc.strata import window_tables
 
     rng = np.random.default_rng(83)
     p = 101
-    # a budget of 500 entries cuts the batch into slices of 11 to 53 matrices
-    monkeypatch.setattr(_kernels, "_SLICE", 500)
     count = 265
     if not nilradical:
         # the kernel ranks rectangles of global powers, which equal the
@@ -482,7 +480,7 @@ def test_window_rank_table_matches_exact_windows(nilradical, monkeypatch):
         tab = window_tables(d)
         full = rng.integers(0, p, size=(count, d.n, d.n), dtype=np.int64)
         inside = _nilradical_batch(rng, d, tab, count, p)
-        inside[count - 1, 0, 1] = 1  # one entry in a diagonal block, last slice
+        inside[count - 1, 0, 1] = 1  # one entry in a diagonal block, last matrix
         for mats in (full, inside):
             with pytest.raises(ValueError):
                 _kernels.window_rank_table(mats, tab.plan, p)
@@ -594,7 +592,7 @@ def _exact_window_table(mats, d, pairs, kmax, p):
     return out
 
 
-def test_window_rank_table_edge_cases(monkeypatch):
+def test_window_rank_table_edge_cases():
     from rorc.strata import window_tables
 
     rng = np.random.default_rng(89)
@@ -620,9 +618,7 @@ def test_window_rank_table_edge_cases(monkeypatch):
     spans = np.array([j - i for i, j in tab.pairs])
     expected = np.where(np.arange(1, tab.kmax + 1) <= spans[:, None], 0, -1)
     assert (table == expected).all()
-    # a batch cut into seven slices of 64 matrices and one of 61 (a budget
-    # of 64 matrices of 7 x 7): every member as if alone
-    monkeypatch.setattr(_kernels, "_SLICE", 64 * d.n ** 2)
+    # a batch ranked whole: every member as if alone
     count = 509
     mats = _nilradical_batch(rng, d, tab, count, p)
     table = _kernels.window_rank_table(mats, tab.plan, p)

@@ -293,6 +293,34 @@ def test_witness_rejects_negative_seed_before_searching():
         witness((3, 1, 1, 1, 3, 1), (2, 3), seed=2, budget=-5)
 
 
+@pytest.mark.parametrize("value", [2.5, True])
+def test_witness_refuses_a_non_integer_seed_or_budget(value):
+    # the diagram phase alone finds the first witness, so the seed is never
+    # read; the second needs the walk
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        witness(RUNNING, (3, 7), seed=value)
+    for name in ("seed", "budget"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            witness((3, 1, 1, 1, 3, 1), (2, 3), **{name: value})
+
+
+@pytest.mark.parametrize("k", [1.5, True])
+def test_window_rank_predicates_refuse_a_non_integer_power(k):
+    d = Composition.of(2, 1, 2)
+    with pytest.raises(ValueError, match="power must be an integer"):
+        max_window_rank(d, 1, 3, k)
+    with pytest.raises(ValueError, match="power must be an integer"):
+        rank_defect(richardson_element(d), d, 1, 3, k)
+
+
+def test_rank_tables_of_an_empty_batch():
+    for d in (Composition.of(3), Composition.of(2, 1, 2), RUNNING):
+        tab = window_tables(d)
+        for p in (2, 32003):
+            empty = np.zeros((0, d.n, d.n), dtype=np.int64)
+            assert rank_tables(empty, tab, p).shape == (0, len(tab.pairs), tab.kmax)
+
+
 def test_window_tables_structure():
     tab = window_tables(Composition.of(2, 1, 2))
     assert tab.pairs == ((1, 2), (1, 3), (2, 3))

@@ -226,15 +226,17 @@ def test_symbolic_violations_are_counted_and_capped(monkeypatch):
     # with every window rank forced to 0 and kappa to 0, every window power
     # k <= j - i breaks rank positivity and every pair breaks the box count;
     # the checks read the ranks and kappas of the window table, and the rank
-    # beyond the span from diagrams._max_window_rank (as strata imports it)
+    # beyond the span from max_window_rank (as strata imports it); the true
+    # table is built before the patch, so the cache keeps it
     from dataclasses import replace
 
-    real = rorc.verify.window_tables
-    monkeypatch.setattr(rorc.verify, "window_tables", lambda d: replace(
-        real(d), thresholds=np.minimum(real(d).thresholds, 0),
-        kappas=np.zeros_like(real(d).kappas)))
-    monkeypatch.setattr(rorc.strata, "_max_window_rank", lambda d, i, j, k: 0)
-    cfg = ExperimentConfig(d=Composition.of(1, 1, 1, 1), mode="exhaustive", fieldsize=2)
+    d = Composition.of(1, 1, 1, 1)
+    real = window_tables(d)
+    zeroed = replace(real, thresholds=np.minimum(real.thresholds, 0),
+                     kappas=np.zeros_like(real.kappas))
+    monkeypatch.setattr(rorc.verify, "window_tables", lambda d: zeroed)
+    monkeypatch.setattr(rorc.strata, "max_window_rank", lambda d, i, j, k: 0)
+    cfg = ExperimentConfig(d=d, mode="exhaustive", fieldsize=2)
     rep = run_checks(cfg, ("lemmas",))
     positivity = _check(rep, "empty_stratum_symbolic")
     identity = _check(rep, "kappa_tableau_identity")
@@ -387,6 +389,24 @@ def test_sampled_population_is_cut_across_the_two_samples(monkeypatch):
     monkeypatch.setattr(verify, "rank_tables", counting)
     run_checks(cfg, ("theorem", "lemmas"))
     assert calls == [_BATCH, _BATCH, 14]
+
+
+def test_entry_budget_cuts_every_array_and_no_report(monkeypatch):
+    # one budget cuts both modes' arrays: at most _ENTRIES entries and _BATCH
+    # rows each, ranked whole; where the cuts fall changes no report byte
+    import rorc.verify as verify
+
+    configs = (ExperimentConfig(d=(2, 2, 1), mode="exhaustive", fieldsize=3),
+               ExperimentConfig(d=(2, 1, 2, 1, 2), fieldsize=32003, trials=300, seed=2))
+    texts = [_dumps(run_checks(cfg).to_json_dict()) for cfg in configs]
+    # 850 entries: 34 matrices of 5 x 5, 13 of 8 x 8, so an array spans both samples
+    for entries, sampled_arrays in ((verify._ENTRIES, 1), (850, 47)):
+        monkeypatch.setattr(verify, "_ENTRIES", entries)
+        for cfg, text in zip(configs, texts):
+            shapes = [mats.shape for mats, _ in _populations(cfg, window_tables(cfg.d))]
+            assert all(b <= _BATCH and b * n * m <= entries for b, n, m in shapes)
+            assert _dumps(run_checks(cfg).to_json_dict()) == text
+        assert len(shapes) == sampled_arrays
 
 
 def test_config_coerces_plain_tuples():
