@@ -134,14 +134,15 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def _leading_ranks(m: np.ndarray, nrows: np.ndarray, ncols: np.ndarray,
                    first: list[int], p: int) -> np.ndarray:
-    """Ranks ``(B, q)`` of the leading ``nrows[q] x ncols[q]`` submatrices of
+    """Ranks ``(q, B)`` of the leading ``nrows[q] x ncols[q]`` submatrices of
     a batch ``m``, all from one elimination under the row bound ``first``:
     each is the number of pivots inside it: of its ``ncols[q]`` columns, those
-    whose pivot row is less than ``nrows[q]`` (a column without one has r)."""
-    pivots = _eliminate(m, p, first)
-    inside = pivots[:, None, :] < nrows[:, None]
-    inside &= np.arange(m.shape[2]) < ncols[:, None]
-    return inside.sum(2)
+    whose pivot row is less than ``nrows[q]`` (a column without one has r).
+    The pivots are read batch-last, ``(c, B)``, as the elimination keeps them."""
+    pivots = _eliminate(m, p, first).T
+    inside = pivots < nrows[:, None, None]
+    inside &= (np.arange(m.shape[2]) < ncols[:, None])[:, :, None]
+    return inside.sum(1)
 
 
 def _corner_bound(o: tuple[int, ...], k: int) -> tuple[bool, list[int]]:
@@ -193,7 +194,10 @@ def window_rank_table(mats, plan, p):
     """Rank table R[b, pi, k-1] = rank((A_b window pi)^k) mod p, -1 padded,
     for the windows of ``plan`` (see ``window_plan``).  Each A_b must lie in
     the nilradical (nonzero mod p only in blocks strictly above the diagonal
-    blocks); anything else raises ValueError.
+    blocks); anything else raises ValueError.  Entries are reduced mod p
+    first only when one lies outside [0, p).  R is the ``(B, P, K)`` view
+    ``R.transpose(2, 1, 0)`` of a C-ordered power-major, batch-last
+    ``(K, P, B)`` table, the layout its consumers reduce over.
 
     There A^k is zero outside the blocks (r, c) with c >= r + k, so the window
     [i, j] of A^k is the k-th power of the window of A, and its rank is that
@@ -213,8 +217,10 @@ def window_rank_table(mats, plan, p):
     mats = np.asarray(mats, dtype=np.int64)
     o, npairs, outside, queries = plan
     t = len(o) - 1
-    table = np.full((mats.shape[0], npairs, t - 1), -1, dtype=np.int64)
-    a = _mod(mats, p)
+    table = np.full((t - 1, npairs, mats.shape[0]), -1, dtype=np.int64)
+    # a negative entry is above p too as uint64: one pass tests both bounds
+    reduced = not mats.size or mats.view(np.uint64).max() < p
+    a = mats if reduced else _mod(mats, p)
     if a[:, outside].any():
         raise ValueError("matrix entry outside the strictly upper block pattern")
     corner = a[:, :o[t - 1], o[1]:]
@@ -225,8 +231,8 @@ def window_rank_table(mats, plan, p):
         flipped = corner[:, ::-1]
         if wide:
             flipped = flipped.transpose(0, 2, 1)
-        table[:, pis, k - 1] = _leading_ranks(flipped, nrows, ncols, first, p)
-    return table
+        table[k - 1, pis] = _leading_ranks(flipped, nrows, ncols, first, p)
+    return table.transpose(2, 1, 0)
 
 
 def decode_matrices(first, count, base, pos_r, pos_c, n):

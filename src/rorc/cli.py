@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from functools import cache
+from functools import cache, lru_cache
 
 from .compositions import (
     Composition,
@@ -81,8 +81,8 @@ def _dumps(obj, nl: str = "\n") -> str:
     encoder that ``indent`` forces.  Ints and lists of ints are joined here;
     a list of non-empty int lists, such as a matrix's entries, is encoded by
     one compact ``json.dumps`` in C and indented by ``str.replace`` (see
-    ``_int_rows``).  Every other scalar and every key goes through
-    ``json.dumps``, and a dict with a non-str key through
+    ``_int_rows``).  Every other scalar goes through ``json.dumps``, every
+    str key through it once per process (``_key``), and a dict with a non-str key through
     ``json.dumps(obj, indent=2)``.  ``nl`` is the newline plus the indent of
     the current level."""
     if type(obj) is int:
@@ -108,8 +108,15 @@ def _dumps(obj, nl: str = "\n") -> str:
             # json escapes every newline inside a string, so each one is structure
             return json.dumps(obj, indent=2).replace("\n", nl)
         return "{" + inner + ("," + inner).join(
-            json.dumps(k) + ": " + _dumps(v, inner) for k, v in obj.items()) + nl + "}"
+            _key(k) + _dumps(v, inner) for k, v in obj.items()) + nl + "}"
     return json.dumps(obj)
+
+
+# a report has a few dozen distinct keys, encoded once per process
+@lru_cache(maxsize=1024)
+def _key(key: str) -> str:
+    """A str key as ``json.dumps(obj, indent=2)`` writes it, with its ``": "``."""
+    return json.dumps(key) + ": "
 
 
 def _emit(payload: str, out: str | None) -> None:

@@ -22,6 +22,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_indices(kind: str, i, j) -> None:
+    """ValueError unless the block indices of a pair or window are integers."""
+    if not (_is_int(i) and _is_int(j)):
+        raise ValueError(f"{kind} indices must be integers, got ({i!r}, {j!r})")
+
+
 @dataclass(frozen=True)
 class Composition:
     """Ordered tuple of positive block sizes (d_1, ..., d_t)."""
@@ -64,10 +70,12 @@ class Composition:
         return Composition(self.parts[i - 1 : j])
 
     def check_pair(self, i: int, j: int) -> None:
+        _check_indices("pair", i, j)
         if not (1 <= i < j <= self.t):
             raise ValueError(f"pair ({i},{j}) out of range for t={self.t}")
 
     def check_window(self, i: int, j: int) -> None:
+        _check_indices("window", i, j)
         if not (1 <= i <= j <= self.t):
             raise ValueError(f"window ({i},{j}) out of range for t={self.t}")
 

@@ -11,7 +11,7 @@ lambda_pairs(d) are exactly the irreducible components of the complement.
 Everything here is exact: the predicates rank with ExactMatrix, one
 fraction-free elimination over Q or reduced mod p, never with the mod-p
 kernels that rank_tables runs for the verifier.  They read one exact defect
-table per matrix through the verifier's defect_flags and stratum_flags.  The
+table per matrix through defect_flags and stratum_flags.  The
 witness search takes its line diagrams, kept as edge sets, from one generator
 (_candidates) in two phases: the deterministic breaks of the complete diagram
 and the moved tableau's diagram, then a seeded walk.  It screens each by
@@ -31,6 +31,7 @@ import numpy as np
 from . import _kernels
 from .compositions import (
     Composition,
+    _check_indices,
     _is_int,
     as_composition,
     dominance_leq,
@@ -202,9 +203,10 @@ class WindowTables:
 
     _window_tables keeps one per composition, so every array here is
     read-only.  The members that only some callers need are built on first
-    use and kept with the table: ``plan`` for the rank kernel, and
+    use and kept with the table: ``plan`` for the rank kernel,
     ``lemma_masks`` and ``symbolic_violations`` for the verifier's lemma
-    checks.
+    checks, ``flag_tables`` for its reducers and ``forced_windows`` for its
+    forced sample.
     """
 
     d: Composition
@@ -249,6 +251,55 @@ class WindowTables:
         for mask in (low, high, flank):
             mask.flags.writeable = False
         return low, high, flank
+
+    @cached_property
+    def flag_tables(self) -> tuple[np.ndarray, ...]:
+        """The verifier's reducer tables, read-only, each O(P^2 + P*K) for P
+        pairs and K = kmax: ``thresholds``, ``low`` and ``high`` in the
+        power-major (K, P, 1) layout of a rank table's batch-last copy;
+        ``at_kappa``, each pair's row of that copy's (K*P, B) reshape at its
+        kappa, and ``kappa_thresholds`` (P, 1), the threshold there; and
+        ``selector``, 0/1 float32 (P + 4, P), whose product with a (P, B)
+        stratum table counts, per row, the strata flanking each pair
+        (``flank``), then those in lambda, outside gamma, inside gamma, and
+        in gamma but not in lambda."""
+        low, high, flank = self.lemma_masks
+        index = np.arange(len(self.pairs))
+        selector = np.concatenate(
+            [flank, np.stack([self.lam, ~self.gamma, self.gamma, self.gamma & ~self.lam])]
+        ).astype(np.float32)
+        tables = (
+            *(np.ascontiguousarray(m.T[:, :, None]) for m in (self.thresholds, low, high)),
+            (self.kappas - 1) * len(index) + index,
+            self.thresholds[index, self.kappas - 1, None],
+            selector,
+        )
+        for table in tables:
+            table.flags.writeable = False
+        return tables
+
+    @cached_property
+    def forced_windows(self) -> tuple[tuple, ...]:
+        """Per pair (i, j), what the verifier's forced sample draws from:
+        the chains of the window's complete diagram that have an edge, top
+        first, each as the left ends of its edges in column order; how many
+        of them (a prefix) contribute to the rank of the k-th power, for
+        k = 1, ..., j - i; and the left ends and flat n x n indices of all
+        the window's edges, in sorted order.  O(P * n) entries."""
+        d, n = self.d, self.d.n
+        out = []
+        for i, j in self.pairs:
+            chains = [edges for _, edges in contributing_chains(d, i, j, 1)]
+            edges = sorted(e for chain in chains for e in chain)
+            lefts = np.array([u for u, _ in edges], dtype=np.int64)
+            flats = np.array([(u - 1) * n + v - 1 for u, v in edges], dtype=np.int64)
+            for array in (lefts, flats):
+                array.flags.writeable = False
+            out.append((tuple(tuple(u for u, _ in chain) for chain in chains),
+                        tuple(sum(len(chain) >= k for chain in chains)
+                              for k in range(1, j - i + 1)),
+                        lefts, flats))
+        return tuple(out)
 
     @cached_property
     def symbolic_violations(self) -> tuple[tuple, tuple]:
@@ -328,6 +379,7 @@ def _window_tables(d: Composition) -> WindowTables:
 
 def rank_tables(mats: np.ndarray, tab: WindowTables, p: int) -> np.ndarray:
     """Batched window rank table R[b, pair, k-1] over F_p; -1 beyond spans.
+    R.transpose(2, 1, 0) is C-contiguous (see _kernels.window_rank_table).
 
     The matrices must lie in the nilradical of ``tab.d``; ValueError otherwise.
     """
@@ -412,6 +464,7 @@ def _lambda_index(tab: WindowTables, pair) -> int:
     """The index of ``pair`` in tab.pairs; ValueError unless it is in
     lambda_pairs(d)."""
     i, j = pair
+    _check_indices("pair", i, j)
     if (i, j) not in tab.pairs or not tab.lam[tab.pairs.index((i, j))]:
         raise ValueError(f"pair ({i},{j}) is not in Lambda({tab.d})")
     return tab.pairs.index((i, j))

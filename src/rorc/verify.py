@@ -28,16 +28,8 @@ import numpy as np
 
 from . import _kernels
 from .compositions import Composition, _is_int, as_composition, lambda_pairs
-from .diagrams import complete_diagram, contributing_chains
 from .matrices import DEFAULT_PRIME, _check_modulus
-from .strata import (
-    WindowTables,
-    defect_flags,
-    rank_tables,
-    seeded_stream,
-    stratum_flags,
-    window_tables,
-)
+from .strata import WindowTables, rank_tables, seeded_stream, window_tables
 
 REPORT_SCHEMA = "rorc.report/1"
 _VIOLATION_CAP = 5
@@ -169,35 +161,29 @@ def _forced_sample(cfg: ExperimentConfig, tab: WindowTables, out: np.ndarray,
     forced[b] = (pair_index, k).  The background entries of every row come
     from ``background``, then the window, power, chain, broken edge and kept
     entries of each trial from ``draws``.  Without a window (t = 1) nothing
-    can be forced, and ``out`` must be empty.
+    can be forced, and ``out`` must be empty.  The chains and the window's
+    edges come from tab.forced_windows, built once per composition.
 
     A trial's kept window entries, in sorted edge order, come from one vector
     draw: numpy's bounded integers are the same drawn one at a time or as a
     vector, so the stream is that of an entry-by-entry draw.
     """
-    d = cfg.d
-    p = cfg.fieldsize
-    o = d.offsets
-    n = d.n
-    # the complete diagram's edges (u, v) in sorted order, each with the flat
-    # index of its entry; u < v, and no two share a u
-    base_edges = [(u, v, (u - 1) * n + v - 1) for u, v in sorted(complete_diagram(d).edges)]
+    o = cfg.d.offsets
     # start from fully random nilradical matrices, then carve out each window
     mats = _uniform(background, cfg, tab, out)
-    forced = []
-    for b in range(mats.shape[0]):
+    forced = np.empty((len(mats), 2), dtype=np.int64)
+    for b, mat in enumerate(mats):
         pi = int(draws.integers(len(tab.pairs)))
         i, j = tab.pairs[pi]
         k = int(draws.integers(1, j - i + 1))
-        chains = contributing_chains(d, i, j, k)
-        _, edges = chains[int(draws.integers(len(chains)))]
-        removed = edges[int(draws.integers(len(edges)))][0]    # the broken edge leaves it
-        lo, hi = o[i - 1], o[j]
-        kept = [f for u, v, f in base_edges if lo < u and v <= hi and u != removed]
-        mats[b, lo:hi, lo:hi] = 0
-        np.put(mats[b], kept, draws.integers(0, p, size=len(kept)))
-        forced.append((pi, k))
-    return np.array(forced, dtype=np.int64).reshape(-1, 2)
+        chains, contributing, lefts, flats = tab.forced_windows[pi]
+        chain = chains[int(draws.integers(contributing[k - 1]))]
+        removed = chain[int(draws.integers(len(chain)))]    # the broken edge leaves it
+        kept = flats[lefts != removed]
+        mat[o[i - 1]:o[j], o[i - 1]:o[j]] = 0
+        np.put(mat, kept, draws.integers(0, cfg.fieldsize, size=len(kept)))
+        forced[b] = pi, k
+    return forced
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +202,12 @@ def _populations(cfg: ExperimentConfig, tab: WindowTables):
     rows (cfg.trials each; none are forced when t = 1), and an array may end
     one sample and start the other.  Each sample comes from its own stream in
     the order it has when drawn whole: the generic entries and the forced
-    background entries row by row, then the forced per-trial draws.  A
-    second stream of the forced key makes those draws once it has skipped
-    every background entry, array by array, so one array or many give the
-    same matrices.
+    background entries row by row, then the forced per-trial draws.  When
+    one array holds every forced row, the forced stream draws its
+    background and then its per-trial draws, in that order already.
+    Otherwise a second stream of the forced key makes those draws once it
+    has skipped every background entry, array by array, so one array or
+    many give the same matrices.
     """
     n, trials = cfg.d.n, cfg.trials
     size = max(1, min(_BATCH, _ENTRIES // n ** 2))
@@ -236,9 +224,11 @@ def _populations(cfg: ExperimentConfig, tab: WindowTables):
     cuts = [(start, min(max(trials, start), start + size, total), min(start + size, total))
             for start in range(0, total, size)]
     generic = seeded_stream(cfg.seed, 0)
-    background, draws = seeded_stream(cfg.seed, 1), seeded_stream(cfg.seed, 1)
-    for _, mid, stop in cuts:     # draws starts past every background entry
-        draws.integers(0, cfg.fieldsize, size=(stop - mid, len(tab.positions)))
+    background = draws = seeded_stream(cfg.seed, 1)
+    if sum(mid < stop for _, mid, stop in cuts) > 1:     # forced rows in several arrays
+        draws = seeded_stream(cfg.seed, 1)
+        for _, mid, stop in cuts:     # draws starts past every background entry
+            draws.integers(0, cfg.fieldsize, size=(stop - mid, len(tab.positions)))
     for start, mid, stop in cuts:
         mats = np.zeros((stop - start, n, n), dtype=np.int64)
         generic_rows, forced_rows = slice(0, mid - start), slice(mid - start, stop - start)
@@ -279,34 +269,46 @@ def _flags(ranks: np.ndarray, tab: WindowTables, parts) -> dict[str, np.ndarray]
     exist"); outside_gamma checks the containment the statement actually
     asserts, membership in some stratum indexed inside gamma_pairs(d) (the
     single-flank routing of the proof is provably too strong).
+
+    The reductions read tab.flag_tables and run on one power-major
+    (K, P, B) copy of the defect table, batch-last as rank_tables lays its
+    table out: those over powers OR K slabs of (P, B), and those over pairs
+    OR P rows of B, or, where a row needs a set of pairs (covered, the
+    flanking strata, Gamma, absorbed), come from one float32 product of the
+    selector with the (P, B) stratum table, whose counts are exact.  A rank
+    table holds -1 beyond each pair's span, as the thresholds do, so
+    neither comparison marks a cell there.
     """
-    low, high, flank = tab.lemma_masks
-    defects = defect_flags(ranks, tab)      # (B, P, kmax)
-    stratum = stratum_flags(defects, tab)   # (B, P): defective at kappa
-    covered = stratum[:, tab.lam].any(axis=1)
+    thresholds, low, high, at_kappa, kappa_thresholds, selector = tab.flag_tables
+    nrows, npairs = len(ranks), len(tab.pairs)
+    by_power = ranks.transpose(2, 1, 0)                 # (K, P, B)
+    defects = by_power < thresholds
+    stratum = by_power.reshape(-1, nrows)[at_kappa] < kappa_thresholds    # (P, B)
+    strata = selector @ stratum.astype(np.float32)      # (P + 4, B) stratum counts
+    in_flank = strata[:npairs] > 0                      # some flanking stratum, per pair
+    covered, outside, inside, absorbed = strata[npairs:] > 0
+    by_pair = defects.any(axis=0)                       # (P, B): defective at some power
     full = slice(tab.full_index, tab.full_index + 1)    # empty when t = 1
-    richardson = ~defects[:, full].any(axis=(1, 2))
-    defective = defects.any(axis=(1, 2))
+    richardson = ~by_pair[full].any(axis=0)
+    defective = by_pair.any(axis=0)
     uncovered = defective & ~covered
     richardson_defective = richardson & defective
-    excess = ((tab.thresholds >= 0) & (ranks > tab.thresholds)).any(axis=(1, 2))
-    unsound = np.zeros(len(ranks), dtype=bool)
+    excess = (by_power > thresholds).reshape(-1, nrows).any(axis=0)
+    unsound = np.zeros(nrows, dtype=bool)
     for _, _, rows, forced in parts:
         if forced is not None:
-            unsound[rows] = ~defects[rows][np.arange(len(forced)), forced[:, 0], forced[:, 1] - 1]
-    in_flank = stratum @ flank.T    # boolean: some flanking stratum, per pair
+            unsound[rows] = ~defects[forced[:, 1] - 1, forced[:, 0], np.arange(nrows)[rows]]
     return {
-        "rows": np.ones(len(ranks), dtype=bool), "richardson": richardson,
+        "rows": np.ones(nrows, dtype=bool), "richardson": richardson,
         "defective": defective, "covered": covered, "uncovered": uncovered,
-        "excess": excess, "unsound": unsound, "per_stratum": stratum[:, tab.lam],
+        "excess": excess, "unsound": unsound, "per_stratum": stratum[tab.lam].T,
         "richardson_defective": richardson_defective,
         "richardson_in_stratum": richardson & covered,
         "bad": uncovered | excess | richardson_defective | unsound,
-        "below_threshold": ((defects & low).any(axis=2) & ~stratum).any(axis=1),
-        "above_threshold": ((defects & high).any(axis=2) & ~in_flank).any(axis=1),
-        "outside_gamma": stratum[:, ~tab.gamma].any(axis=1)
-        & ~stratum[:, tab.gamma].any(axis=1),
-        "absorbed": stratum[:, tab.gamma & ~tab.lam].any(axis=1) & ~covered,
+        "below_threshold": ((defects & low).any(axis=0) & ~stratum).any(axis=0),
+        "above_threshold": ((defects & high).any(axis=0) & ~in_flank).any(axis=0),
+        "outside_gamma": outside & ~inside,
+        "absorbed": absorbed & ~covered,
     }
 
 
@@ -395,22 +397,35 @@ def run_checks(cfg: ExperimentConfig, checks=("theorem", "lemmas")) -> Verificat
                 if population in (None, *populations):
                     results.append(CheckResult(name, True, dict.fromkeys(counted, 0)))
                     selected.append((results[-1], population, counted, *rest))
+    strata = [f"{i},{j}" for (i, j), on in zip(tab.pairs, tab.lam) if on]
     if selected:
+        # the flags the selected checks read, stacked one row each (per_stratum
+        # one row per stratum), so that one sum counts every flag of a part
+        names = dict.fromkeys(flag for *_, counted, recorded, fail, _ in selected
+                              for flag in (*counted.values(), *recorded.values(), fail))
+        at, rows = {}, 0
+        for name in names:
+            if name == "per_stratum":
+                at[name] = slice(rows, rows + len(strata))
+                rows += len(strata)
+            else:
+                at[name] = rows
+                rows += 1
         for mats, parts in _populations(cfg, tab):
             f = _flags(rank_tables(mats, tab, cfg.fieldsize), tab, parts)
+            stack = np.vstack([f[name].T for name in names])
             for population, first, part, _ in parts:
+                hits = np.count_nonzero(stack[:, part], axis=1)
                 for check, wanted, counted, recorded, fail, indexed in selected:
                     if wanted not in (None, population):
                         continue
                     for key, flag in counted.items():
-                        hits = f[flag][part]    # per_stratum is counted per column
-                        axis = 0 if hits.ndim > 1 else None
-                        check.counts[key] += np.count_nonzero(hits, axis=axis)
-                    check.passed = check.passed and not np.count_nonzero(f[fail][part])
+                        check.counts[key] += hits[at[flag]]
+                    check.passed = check.passed and not hits[at[fail]]
                     for kind, flag in recorded.items():
-                        _record(check.violations, kind, mats[part], f[flag][part],
-                                cfg.fieldsize, first if indexed else None)
-    strata = [f"{i},{j}" for (i, j), on in zip(tab.pairs, tab.lam) if on]
+                        if hits[at[flag]] and len(check.violations) < _VIOLATION_CAP:
+                            _record(check.violations, kind, mats[part], f[flag][part],
+                                    cfg.fieldsize, first if indexed else None)
     for check, *_ in selected:
         counts = check.counts
         for key, hits in counts.items():

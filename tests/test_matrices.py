@@ -624,6 +624,21 @@ def test_window_rank_table_edge_cases():
     table = _kernels.window_rank_table(mats, tab.plan, p)
     assert np.array_equal(table, np.concatenate(
         [_kernels.window_rank_table(m[None], tab.plan, p) for m in mats]))
+    # entries outside [0, p) are reduced first: every entry shifted by a
+    # multiple of p, some negative, a batch ranks as reduced
+    shifts = rng.integers(-3, 4, size=mats.shape) * p
+    assert (mats + shifts < 0).any() and (mats + shifts >= p).any()
+    assert np.array_equal(_kernels.window_rank_table(mats + shifts, tab.plan, p), table)
+    assert np.array_equal(_kernels.window_rank_table(mats - p, tab.plan, p), table)
+    # inside a diagonal block, p is zero mod p, and p + 1 is not
+    for entry, accepted in ((p, True), (p + 1, False)):
+        odd = mats.copy()
+        odd[:, 0, 0] = entry
+        if accepted:
+            assert np.array_equal(_kernels.window_rank_table(odd, tab.plan, p), table)
+        else:
+            with pytest.raises(ValueError, match="outside the strictly upper block pattern"):
+                _kernels.window_rank_table(odd, tab.plan, p)
 
 
 def _sympy_jordan_type(a: ExactMatrix) -> tuple[int, ...]:

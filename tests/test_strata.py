@@ -313,6 +313,21 @@ def test_window_rank_predicates_refuse_a_non_integer_power(k):
         rank_defect(richardson_element(d), d, 1, 3, k)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: witness((2, 1, 2), (1.0, 3)),
+    lambda: separates(richardson_element((2, 1, 2)), (2, 1, 2), (1, 3.0)),
+    lambda: max_window_rank((2, 1, 2), True, 3, 1),
+    lambda: max_window_rank((2, 1, 2), 1.5, 3, 1),
+    lambda: in_stratum(richardson_element((2, 1, 2)), (2, 1, 2), 1.0, 3),
+    lambda: Composition.of(2, 1, 2).window(True, 2),
+    lambda: Composition.of(2, 1, 2).check_window(1, 2.0),
+], ids=["witness", "separates", "max_window_rank-bool", "max_window_rank-float",
+        "in_stratum", "window", "check_window"])
+def test_pair_and_window_indices_must_be_integers(call):
+    with pytest.raises(ValueError, match="indices must be integers"):
+        call()
+
+
 def test_rank_tables_of_an_empty_batch():
     for d in (Composition.of(3), Composition.of(2, 1, 2), RUNNING):
         tab = window_tables(d)

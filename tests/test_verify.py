@@ -24,7 +24,7 @@ from rorc import (
     run_checks,
 )
 from rorc.cli import _dumps
-from rorc.strata import rank_tables, seeded_stream, window_tables
+from rorc.strata import defect_flags, rank_tables, seeded_stream, stratum_flags, window_tables
 from rorc.verify import (
     _BATCH,
     _LEMMAS,
@@ -475,6 +475,89 @@ def test_covered_implies_defective_and_every_matrix_is_generic_or_defective():
             f = _flags(rank_tables(mats, tab, cfg.fieldsize), tab, parts)
             assert not (f["covered"] & ~f["defective"]).any()
             assert (f["richardson"] | f["defective"]).all()
+
+
+def _reference_flags(ranks, tab, parts):
+    """_flags as it read the defect table before its reducers took
+    tab.flag_tables: the reference for them."""
+    low, high, flank = tab.lemma_masks
+    defects = defect_flags(ranks, tab)      # (B, P, kmax)
+    stratum = stratum_flags(defects, tab)   # (B, P): defective at kappa
+    covered = stratum[:, tab.lam].any(axis=1)
+    full = slice(tab.full_index, tab.full_index + 1)    # empty when t = 1
+    richardson = ~defects[:, full].any(axis=(1, 2))
+    defective = defects.any(axis=(1, 2))
+    uncovered = defective & ~covered
+    richardson_defective = richardson & defective
+    excess = ((tab.thresholds >= 0) & (ranks > tab.thresholds)).any(axis=(1, 2))
+    unsound = np.zeros(len(ranks), dtype=bool)
+    for _, _, rows, forced in parts:
+        if forced is not None:
+            unsound[rows] = ~defects[rows][np.arange(len(forced)), forced[:, 0], forced[:, 1] - 1]
+    in_flank = stratum @ flank.T    # boolean: some flanking stratum, per pair
+    return {
+        "rows": np.ones(len(ranks), dtype=bool), "richardson": richardson,
+        "defective": defective, "covered": covered, "uncovered": uncovered,
+        "excess": excess, "unsound": unsound, "per_stratum": stratum[:, tab.lam],
+        "richardson_defective": richardson_defective,
+        "richardson_in_stratum": richardson & covered,
+        "bad": uncovered | excess | richardson_defective | unsound,
+        "below_threshold": ((defects & low).any(axis=2) & ~stratum).any(axis=1),
+        "above_threshold": ((defects & high).any(axis=2) & ~in_flank).any(axis=1),
+        "outside_gamma": stratum[:, ~tab.gamma].any(axis=1)
+        & ~stratum[:, tab.gamma].any(axis=1),
+        "absorbed": stratum[:, tab.gamma & ~tab.lam].any(axis=1) & ~covered,
+    }
+
+
+def test_flags_match_the_reference_reducers():
+    configs = [ExperimentConfig(d=parts, mode="exhaustive", fieldsize=2)
+               for n in range(1, 7) for parts in compositions_of(n)]
+    configs += [
+        ExperimentConfig(d=(2, 2, 1), mode="exhaustive", fieldsize=3),
+        *(ExperimentConfig(d=RUNNING, fieldsize=32003, trials=20, seed=s) for s in range(3)),
+        ExperimentConfig(d=(3,), mode="exhaustive", fieldsize=3),    # t = 1
+        ExperimentConfig(d=(4,), fieldsize=32003, trials=20, seed=1),
+    ]
+    tables = [(rank_tables(mats, tab, cfg.fieldsize), tab, parts)
+              for cfg in configs for tab in (window_tables(cfg.d),)
+              for mats, parts in _populations(cfg, tab)]
+    # no kernel ranks above a threshold, and lemma_absorbed holds on every
+    # population: random tables up to one above each threshold, some rows
+    # forced, raise every flag
+    rng = np.random.default_rng(7)
+    for parts in ((1, 3, 2), (2, 1, 2, 1, 2), (3, 1, 1, 3), (2, 3, 1, 3, 2), RUNNING):
+        tab = window_tables(parts)
+        thr = tab.thresholds
+        near = np.maximum(rng.integers(-2, 2, size=(400, *thr.shape)) + thr, 0)
+        ranks = np.where(thr >= 0, near, -1)
+        ranks = ranks.transpose(2, 1, 0).copy().transpose(2, 1, 0)    # as rank_tables lays it out
+        pi = rng.integers(len(tab.pairs), size=150)
+        forced = np.stack([pi, rng.integers(1, tab.spans[pi] + 1)], axis=1)
+        tables.append((ranks, tab, (("generic", 0, slice(0, 250), None),
+                                    ("forced", 0, slice(250, 400), forced))))
+    seen = set()
+    for ranks, tab, parts in tables:
+        got, want = _flags(ranks, tab, parts), _reference_flags(ranks, tab, parts)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert (got[key].shape, got[key].dtype) == (value.shape, value.dtype), key
+            assert np.array_equal(got[key], value), (tab.d, key)
+            if value.any() and not value.all():
+                seen.add(key)
+    assert seen == set(want) - {"rows"}
+
+
+def test_reducer_and_forced_tables_stay_small():
+    # every table kept for the reducers and the forced sample is
+    # O(P^2 + P*K) or O(P*n); the dense (P*K) x (4P + 6) selector of a
+    # t = 20 composition would hold about 11 MB
+    tab = window_tables((1, 2) * 10)
+    arrays = [*tab.flag_tables, *(a for *_, lefts, flats in tab.forced_windows
+                                  for a in (lefts, flats))]
+    assert len(tab.pairs) == 190 and tab.kmax == 19
+    assert sum(a.nbytes for a in arrays) < 2**20
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_repeated_verify_reads_the_cached_tables_without_changing_them():
