@@ -5,6 +5,8 @@ exhausted, 2 invalid arguments or configuration.  verify and witness take
 the seed from --seed, else the RORC_SEED environment variable, else 0; it
 must be >= 0, and no other command reads RORC_SEED.  JSON written with
 --json / --out is deterministic for a fixed invocation: it carries no timing.
+Every JSON payload is one compact line, ``json.dumps(obj, separators=(",",
+":"))`` in ``_emit_json``.
 
 ``build_parser`` is cached: ``main`` builds the argparse tree once per
 process, on its first call, and reuses it.  Each parse starts from a fresh
@@ -17,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from functools import cache, lru_cache
+from functools import cache
 
 from .compositions import (
     Composition,
@@ -56,67 +58,8 @@ def _default_seed() -> int:
         raise ConfigError(f"RORC_SEED must be an integer, got {raw!r}") from None
 
 
-# the characters of a list of int lists in compact JSON
-_INT_ROWS = str.maketrans("", "", "0123456789-,[]")
-
-
-def _int_rows(text: str, rows: int) -> bool:
-    """Whether ``text``, the compact JSON of a list of ``rows`` >= 1 items,
-    is that of a list of non-empty int lists; every test runs in C.
-
-    Only digits, ``-``, ``,`` and brackets: every item is an int or a list.
-    With L lists among the items and D lists nested deeper, there are
-    1 + L + D ``[``, so rows + 1 of them means D items are ints.  Each
-    ``],[`` joins two sibling lists: at most L - 1 among the items and
-    D - 1 deeper, fewer than rows - 1 when D > 0.  So rows - 1 of them
-    leave no int item and no deeper list, and without ``[]`` no row is
-    empty.
-    """
-    return (not text.translate(_INT_ROWS) and "[]" not in text
-            and text.count("[") == rows + 1 and text.count("],[") == rows - 1)
-
-
-def _dumps(obj, nl: str = "\n") -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, without the pure-Python
-    encoder that ``indent`` forces.  Ints and lists of ints are joined here;
-    a list of non-empty int lists, such as a matrix's entries, is encoded by
-    one compact ``json.dumps`` in C and indented by ``str.replace`` (see
-    ``_int_rows``).  Every other scalar goes through ``json.dumps``, every
-    str key through it once per process (``_key``), and a dict with a non-str key through
-    ``json.dumps(obj, indent=2)``.  ``nl`` is the newline plus the indent of
-    the current level."""
-    if type(obj) is int:
-        return str(obj)
-    inner = nl + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(type(v) is int for v in obj):
-            items = map(str, obj)
-        elif isinstance(obj[0], (list, tuple)) and _int_rows(
-                text := json.dumps(obj, separators=(",", ",")), len(obj)):
-            deeper = inner + "  "
-            items = ("[" + deeper + row.replace(",", "," + deeper) + inner + "]"
-                     for row in text[2:-2].split("],["))
-        else:
-            items = (_dumps(v, inner) for v in obj)
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        if not all(type(k) is str for k in obj):
-            # json escapes every newline inside a string, so each one is structure
-            return json.dumps(obj, indent=2).replace("\n", nl)
-        return "{" + inner + ("," + inner).join(
-            _key(k) + _dumps(v, inner) for k, v in obj.items()) + nl + "}"
-    return json.dumps(obj)
-
-
-# a report has a few dozen distinct keys, encoded once per process
-@lru_cache(maxsize=1024)
-def _key(key: str) -> str:
-    """A str key as ``json.dumps(obj, indent=2)`` writes it, with its ``": "``."""
-    return json.dumps(key) + ": "
+def _emit_json(obj, out: str | None) -> None:
+    _emit(json.dumps(obj, separators=(",", ":")), out)
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -138,7 +81,7 @@ def _cmd_analyze(args) -> int:
     d = _parse_d(args.d)
     dec = decompose(d)
     if args.json:
-        _emit(_dumps(dec.to_json_dict()), args.out)
+        _emit_json(dec.to_json_dict(), args.out)
         return 0
     lines = [
         f"d = {d}   n = {d.n}   t = {d.t}",
@@ -166,12 +109,9 @@ def _cmd_diagram(args) -> int:
         diagram = subdiagram(diagram, i, j)
         label = f"subdiagram of columns {i}..{j} for d = {d}"
     if args.json:
-        payload = {
-            "d": list(diagram.columns.parts),
-            "edges": sorted(list(e) for e in diagram.edges),
-            "chain_lengths": list(chain_lengths(diagram)),
-        }
-        _emit(_dumps(payload), args.out)
+        _emit_json({"d": list(diagram.columns.parts),
+                    "edges": sorted(list(e) for e in diagram.edges),
+                    "chain_lengths": list(chain_lengths(diagram))}, args.out)
         return 0
     text = f"{label}\n{render_ascii(diagram)}\nchain lengths: {chain_lengths(diagram)}"
     _emit(text, args.out)
@@ -186,7 +126,7 @@ def _cmd_tableau(args) -> int:
     else:
         tab = richardson_tableau(d)
     if args.json:
-        _emit(json.dumps(tab.to_json_dict()), args.out)
+        _emit_json(tab.to_json_dict(), args.out)
     else:
         _emit(tab.render_ascii(), args.out)
     return 0
@@ -201,7 +141,7 @@ def _cmd_verify(args) -> int:
     )
     report = run_checks(cfg, [c.strip() for c in args.checks.split(",") if c.strip()])
     if args.json or args.out:
-        _emit(_dumps(report.to_json_dict()), args.out)
+        _emit_json(report.to_json_dict(), args.out)
     if not args.json:
         print(f"d = {d}: components = {report.components}")
         for c in report.checks:
@@ -225,12 +165,19 @@ def _cmd_witness(args) -> int:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read --verify-matrix: {exc}") from exc
-        # refuse a size mismatch before from_json_dict builds n x n rows
-        n = data.get("n") if isinstance(data, dict) else None
+        # refuse a size or block mismatch before from_json_dict builds n x n rows
+        meta = data if isinstance(data, dict) else {}
+        n, blocks = meta.get("n"), meta.get("d")
         if isinstance(n, int) and n != d.n:
             raise ConfigError(f"--verify-matrix has n = {n}, but d = {d} has n = {d.n}")
+        if isinstance(blocks, list) and blocks != list(d.parts):
+            raise ConfigError(f"--verify-matrix has d = {blocks}, but -d is {d}")
         good = separates(ExactMatrix.from_json_dict(data), d, (i, j))
-        print(f"matrix {'separates' if good else 'does NOT separate'} stratum ({i},{j})")
+        if args.json:
+            _emit_json({"d": list(d.parts), "pair": [i, j], "separates": good}, args.out)
+        else:
+            _emit(f"matrix {'separates' if good else 'does NOT separate'} stratum ({i},{j})",
+                  args.out)
         return 0 if good else 1
     try:
         a = witness(d, (i, j), seed=seed, budget=args.budget)
@@ -239,13 +186,8 @@ def _cmd_witness(args) -> int:
         return 1
     profile = defect_profile(a, d)
     if args.json:
-        payload = {
-            "d": list(d.parts),
-            "pair": [i, j],
-            "matrix": a.to_json_dict(),
-            "defect_profile": [list(v) for v in profile],
-        }
-        _emit(_dumps(payload), args.out)
+        _emit_json({"d": list(d.parts), "pair": [i, j], "matrix": a.to_json_dict(),
+                    "defect_profile": [list(v) for v in profile]}, args.out)
     else:
         _emit(
             f"witness for stratum ({i},{j}) of d = {d}\n{a.pretty()}\n"

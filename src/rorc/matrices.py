@@ -41,6 +41,8 @@ def _normalize_field(field: str, ncols: int) -> tuple[str, int | None]:
         return "Q", None
     if field.startswith("Fp:"):
         p = int(field[3:])
+        if field[3:] != str(p):
+            raise ValueError(f"field {field!r} is not canonical; expected 'Fp:{p}'")
         _check_modulus(p, ncols)
         return field, p
     raise ValueError(f"unknown field {field!r}; expected 'Q' or 'Fp:<p>'")

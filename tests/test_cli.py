@@ -1,10 +1,8 @@
 import json
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from rorc.cli import _dumps, main
+from rorc.cli import main
 
 
 def run(capsys, *argv):
@@ -179,6 +177,17 @@ def test_witness_command(capsys, tmp_path):
     assert code == 1
     assert "does NOT separate" in out
 
+    # the verdict goes to --out, and --json writes it as a payload
+    verdict_path = tmp_path / "vm.out"
+    for (i, j), code, verdict in (((1, 2), 0, "separates"), ((2, 3), 1, "does NOT separate")):
+        argv = ("witness", "-d", "1,1,1,1,1", "--pair", f"{i},{j}", "--verify-matrix",
+                str(matrix_path))
+        assert run(capsys, *argv, "--out", str(verdict_path)) == (code, "", "")
+        assert verdict_path.read_text() == f"matrix {verdict} stratum ({i},{j})\n"
+        assert run(capsys, *argv, "--json") == (code, json.dumps(
+            {"d": [1, 1, 1, 1, 1], "pair": [i, j], "separates": code == 0},
+            separators=(",", ":")) + "\n", "")
+
 
 def test_witness_verify_matrix_rejects_malformed_input(capsys, tmp_path):
     cases = {
@@ -188,6 +197,10 @@ def test_witness_verify_matrix_rejects_malformed_input(capsys, tmp_path):
         "triple_out_of_range": {"n": 5, "triples": [[5, 4, 1]]},
         "negative_triple_index": {"n": 5, "triples": [[-5, 4, 1]]},
         "n_disagrees_with_entries": {"n": 6, "entries": [[0] * 5 for _ in range(5)]},
+        # a payload's own blocks must be the parts of -d, and [] declares none
+        "d_disagrees_with_d": {"n": 5, "d": [2, 1, 2], "triples": []},
+        "empty_d": {"n": 5, "d": [], "triples": []},
+        "non_canonical_field": {"n": 5, "field": "Fp:07", "triples": []},
     }
     for name, data in cases.items():
         path = tmp_path / f"{name}.json"
@@ -401,49 +414,20 @@ def test_cached_parser_leaks_no_state_between_calls(capsys, monkeypatch, tmp_pat
     assert out.startswith("witness for stratum (1,2)")
 
 
-_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(-5, 5), st.integers(),
-    st.integers(-(2 ** 200), 2 ** 200), st.floats(), st.text(),
-    st.sampled_from(["", "\"", "\\", "\n\t\x00\x1f", "é", "\u2603", "\U0001f600", "\ud800"]))
-_NON_STR_KEYS = st.one_of(st.integers(), st.booleans(), st.none(), st.floats())
-# lists of non-empty int lists, which _dumps encodes in one compact pass, and
-# near misses that it must write item by item: one row holding a bool, a
-# float or a nested list, or nothing, or an int in place of a row
-_INT_ROWS = st.lists(st.lists(st.integers(), min_size=1, max_size=4), min_size=1, max_size=4)
-_ODD_ROW = st.one_of(
-    st.just([]), st.integers(),
-    st.tuples(st.lists(st.integers(), max_size=2),
-              st.one_of(st.booleans(), st.floats(), st.lists(st.integers(), max_size=2)))
-    .map(lambda t: [*t[0], t[1]]))
-_NEAR_INT_ROWS = st.tuples(_INT_ROWS, _ODD_ROW, st.integers(0, 4)).map(
-    lambda t: [*t[0][:t[2]], t[1], *t[0][t[2]:]])
-_JSON_LIKE = st.recursive(
-    st.one_of(_SCALARS, st.lists(st.integers()), st.lists(st.integers()).map(tuple),
-              _INT_ROWS, _INT_ROWS.map(tuple), _NEAR_INT_ROWS),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(st.text(), children, max_size=4),
-        st.dictionaries(_NON_STR_KEYS, children, max_size=3),
-    ),
-    max_leaves=30,
-)
-
-
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(obj=_JSON_LIKE)
-# an int item and a doubly nested row together hold as many brackets as rows
-@example(obj=[[1], 2, [[3]]])
-@example(obj=[[[1], [2]], 3, 4, [5]])
-def test_dumps_matches_json_indent_2(obj):
-    assert _dumps(obj) == json.dumps(obj, indent=2)
-
-
-def test_dumps_matches_json_on_the_running_example_report(tmp_path):
-    # every indent-2 site of the CLI writes through _dumps; the goldens pin
-    # the bytes of the small reports, this one the largest
-    out = tmp_path / "report.json"
-    main(["verify", "-d", "7,5,2,3,5,1,2,6,5", "--field", "32003", "--trials", "20",
-          "--json", "--out", str(out)])
-    text = out.read_text(encoding="utf-8")
-    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+@pytest.mark.parametrize("argv", [
+    ("analyze", "-d", "7,5,2,3,5,1,2,6,5"),
+    ("diagram", "-d", "7,5,2,3,5,1,2,6,5", "--pair", "4,7"),
+    ("tableau", "-d", "7,5,2,3,5,1,2,6,5"),
+    ("verify", "-d", "7,5,2,3,5,1,2,6,5", "--field", "32003", "--trials", "20"),
+    ("witness", "-d", "1,1,1,1,1", "--pair", "1,2"),
+    ("witness", "-d", "1,1,1,1,1", "--pair", "1,2", "--verify-matrix", "{matrix}"),
+], ids=["analyze", "diagram", "tableau", "verify", "witness", "verify_matrix"])
+def test_json_is_one_compact_line(capsys, tmp_path, argv):
+    matrix_path = tmp_path / "m.json"
+    matrix_path.write_text(json.dumps({"n": 5, "triples": [[0, 1, 1]]}))
+    argv = [str(matrix_path) if a == "{matrix}" else a for a in argv]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert out == json.dumps(json.loads(out), separators=(",", ":")) + "\n"
+    out_path = tmp_path / "out.json"
+    assert run(capsys, *argv, "--json", "--out", str(out_path)) == (code, "", "")
+    assert out_path.read_bytes() == out.encode()

@@ -192,6 +192,16 @@ def test_field_validation():
             ExactMatrix([[1]], field=f"Fp:{p}")
 
 
+@pytest.mark.parametrize("field", ["Fp:07", "Fp: 7", "Fp:7 ", "Fp:+7", "Fp:3_2003"])
+def test_field_must_be_written_canonically(field):
+    # int() reads each of these as a prime; kept as written, two spellings of
+    # one field compared unequal and refused to multiply
+    with pytest.raises(ValueError, match="not canonical"):
+        ExactMatrix([[0, 1], [0, 0]], field=field)
+    with pytest.raises(ValueError, match="not canonical"):
+        ExactMatrix.from_json_dict({"n": 2, "field": field, "triples": []})
+
+
 def test_matrix_json_refuses_bool_block_sizes():
     with pytest.raises(ValueError, match="positive integers"):
         ExactMatrix.from_json_dict({"n": 3, "d": [True, 2], "entries": [[0] * 3] * 3})

@@ -1,19 +1,21 @@
-"""Golden `rorc verify --json` reports and `rorc witness --json` payloads,
-compared byte for byte.
+"""Golden `rorc verify --json` reports and `rorc witness --json` payloads.
 
-Each case runs the CLI with ``--json --out`` and compares the written file
-and the exit code with the golden under tests/data/reports/.  Reports and
-witnesses are deterministic functions of the arguments, so any change in a
-count, a recorded violation, a witness matrix, a key or the key order shows
-up here.
+Each case runs the CLI with ``--json --out`` and checks the exit code and the
+written file: it must be one compact line, ``json.dumps(obj, separators=(",",
+":"))``, and its indent-2 re-encoding must equal the golden under
+tests/data/reports/ byte for byte.  Together these fix the output bytes.
+Reports and witnesses are deterministic functions of the arguments, so any
+change in a count, a recorded violation, a witness matrix, a key or the key
+order shows up here.
 
 Regenerate the goldens (only when a report is meant to change) with
 ``PYTHONPATH=src python tests/test_reports.py``.
 
 ``WITNESS_DIGEST`` pins every small witness: one SHA-256 over the argv, exit
-code and output of ``rorc witness --json --seed 0`` for each Lambda pair of
-every composition of n <= 8 with t >= 3 (636 calls).  Print the current value
-with ``PYTHONPATH=src python tests/test_reports.py digest``.
+code and indent-2 re-encoded output of ``rorc witness --json --seed 0`` for
+each Lambda pair of every composition of n <= 8 with t >= 3 (636 calls).
+Print the current value with ``PYTHONPATH=src python tests/test_reports.py
+digest``.
 """
 
 import hashlib
@@ -71,13 +73,20 @@ def _run(name: str, path: Path) -> int:
     return main([*argv, "--json", "--out", str(path)])
 
 
+def _indented(text: str) -> str:
+    """The indent-2 re-encoding of one JSON payload, as the goldens hold it."""
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, tmp_path, monkeypatch):
     monkeypatch.delenv("RORC_SEED", raising=False)
     out = tmp_path / f"{name}.json"
     code = _run(name, out)
     assert code == CASES[name][1]
-    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+    assert _indented(text).encode() == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
 
 WITNESS_DIGEST = "e16bf91f4dd959e69fa2fedba46d76cb673b39adf14c05c90de8f2d1f1e633a2"
@@ -97,7 +106,7 @@ def _witness_digest() -> tuple[int, str]:
                 with redirect_stdout(out):
                     code = main(argv)
                 digest.update(json.dumps([argv, code]).encode() + b"\n"
-                              + out.getvalue().encode())
+                              + _indented(out.getvalue()).encode())
                 calls += 1
     return calls, digest.hexdigest()
 
@@ -113,4 +122,7 @@ if __name__ == "__main__":
     os.environ.pop("RORC_SEED", None)
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for case in sorted(CASES):
-        print(case, _run(case, GOLDEN_DIR / f"{case}.json"))
+        path = GOLDEN_DIR / f"{case}.json"
+        code = _run(case, path)
+        path.write_text(_indented(path.read_text(encoding="utf-8")), encoding="utf-8")
+        print(case, code)

@@ -23,7 +23,6 @@ from rorc import (
     rank_defect,
     run_checks,
 )
-from rorc.cli import _dumps
 from rorc.strata import defect_flags, rank_tables, seeded_stream, stratum_flags, window_tables
 from rorc.verify import (
     _BATCH,
@@ -398,14 +397,14 @@ def test_entry_budget_cuts_every_array_and_no_report(monkeypatch):
 
     configs = (ExperimentConfig(d=(2, 2, 1), mode="exhaustive", fieldsize=3),
                ExperimentConfig(d=(2, 1, 2, 1, 2), fieldsize=32003, trials=300, seed=2))
-    texts = [_dumps(run_checks(cfg).to_json_dict()) for cfg in configs]
+    texts = [json.dumps(run_checks(cfg).to_json_dict()) for cfg in configs]
     # 850 entries: 34 matrices of 5 x 5, 13 of 8 x 8, so an array spans both samples
     for entries, sampled_arrays in ((verify._ENTRIES, 1), (850, 47)):
         monkeypatch.setattr(verify, "_ENTRIES", entries)
         for cfg, text in zip(configs, texts):
             shapes = [mats.shape for mats, _ in _populations(cfg, window_tables(cfg.d))]
             assert all(b <= _BATCH and b * n * m <= entries for b, n, m in shapes)
-            assert _dumps(run_checks(cfg).to_json_dict()) == text
+            assert json.dumps(run_checks(cfg).to_json_dict()) == text
         assert len(shapes) == sampled_arrays
 
 
@@ -567,7 +566,7 @@ def test_repeated_verify_reads_the_cached_tables_without_changing_them():
     cfg = ExperimentConfig(d=RUNNING, fieldsize=32003, trials=20, seed=5)
     rorc.strata._window_tables.cache_clear()
     first = run_checks(cfg)
-    text = _dumps(first.to_json_dict())
+    text = json.dumps(first.to_json_dict())
     assert _check(first, "lemma_below_threshold").violations
     for check in first.checks:
         for key in check.counts:
@@ -577,9 +576,9 @@ def test_repeated_verify_reads_the_cached_tables_without_changing_them():
                 if isinstance(value, list):
                     value.append(-1)
         check.violations.append({"kind": "edited"})
-    assert _dumps(run_checks(cfg).to_json_dict()) == text
+    assert json.dumps(run_checks(cfg).to_json_dict()) == text
     rorc.strata._window_tables.cache_clear()
-    assert _dumps(run_checks(cfg).to_json_dict()) == text
+    assert json.dumps(run_checks(cfg).to_json_dict()) == text
     tab = window_tables(RUNNING)
     arrays = [v for v in vars(tab).values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 8 and len(tab.lemma_masks) == 3
