@@ -1,12 +1,12 @@
 """Command-line front end: analyze, diagram, tableau, verify, witness.
 
 Exit codes: 0 success / all checks pass, 1 violation found or search budget
-exhausted, 2 invalid arguments or configuration.  verify and witness take
-the seed from --seed, else the RORC_SEED environment variable, else 0; it
-must be >= 0, and no other command reads RORC_SEED.  JSON written with
---json / --out is deterministic for a fixed invocation: it carries no timing.
-Every JSON payload is one compact line, ``json.dumps(obj, separators=(",",
-":"))`` in ``_emit_json``.
+exhausted, 2 invalid arguments or configuration, or a stdout whose reader
+closed it.  verify and witness take the seed from --seed, else the RORC_SEED
+environment variable, else 0; it must be >= 0, and no other command reads
+RORC_SEED.  JSON written with --json / --out is deterministic for a fixed
+invocation: it carries no timing.  Every JSON payload is one compact line,
+``json.dumps(obj, separators=(",", ":"))`` in ``_emit_json``.
 
 ``build_parser`` is cached: ``main`` builds the argparse tree once per
 process, on its first call, and reuses it.  Each parse starts from a fresh
@@ -197,9 +197,20 @@ def _cmd_witness(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Help and usage text that raise on a closed stdout, as every other
+    write of ``main`` does; argparse's own printing drops the OSError."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+    def print_usage(self, file=None):
+        (file or sys.stdout).write(self.format_usage())
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rorc",
         description="Components of the complement of the dense parabolic orbit: "
                     "parameter sets, tableaux, rank thresholds, verification.",
@@ -250,10 +261,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        finally:    # argparse's help included: a closed stdout raises here, not at exit
+            sys.stdout.flush()
     except ValueError as exc:   # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # interpreter's flush at exit does not raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: cannot write stdout: the reading end of the pipe is closed",
+              file=sys.stderr)
         return 2
 
 

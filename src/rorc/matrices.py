@@ -9,8 +9,11 @@ rational ones.
 
 Rank uses fraction-free (Bareiss) elimination for both fields: over Q on
 integer rows, rational entries cleared row-wise first (row scaling preserves
-rank); over F_p with each row reduced mod p.  Neither rank nor product runs
-the batched mod-p kernels, so this layer checks them independently.
+rank); over F_p with each row reduced mod p.  The product is exact, reduced
+mod p over F_p, and walks the nonzero entries only, so it costs time in
+proportion to the nonzero entries it meets (the 0/1 line-diagram matrices of
+the witness search are mostly zero).  Neither rank nor product runs the
+batched mod-p kernels, so this layer checks them independently.
 
 Validation happens once, at the public boundary: ``ExactMatrix(...)``,
 ``from_triples``, ``from_json_dict``, ``zeros``, ``identity`` and
@@ -25,7 +28,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from operator import mul
 
 import numpy as np
 
@@ -193,15 +195,31 @@ class ExactMatrix:
     # -- arithmetic ----------------------------------------------------------
 
     def mul(self, other: "ExactMatrix") -> "ExactMatrix":
+        """The exact product self · other, reduced mod p over ``Fp:p``.
+
+        Row by row over the nonzero entries (Gustavson 1978): each row of
+        ``other`` is listed once as its (column, value) nonzeros, and each
+        nonzero v in a row of ``self`` adds v times the matching listed row
+        into that row's accumulator.  So the product costs time in
+        proportion to the nonzero entries it meets.  Zero terms are never
+        added, so an entry may be an int where a dense sum gives the equal
+        ``Fraction`` with denominator 1.
+        """
         if self.field != other.field:
             raise ValueError("field mismatch")
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        cols = list(zip(*other.rows))
-        rows = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.rows)
-        if self.p is not None:
-            rows = tuple(tuple(v % self.p for v in row) for row in rows)
-        return self._derived(rows)
+        terms = [[(c, w) for c, w in enumerate(row) if w] for row in other.rows]
+        ncols, p = other.ncols, self.p
+        rows = []
+        for row in self.rows:
+            acc = [0] * ncols
+            for v, listed in zip(row, terms):
+                if v:
+                    for c, w in listed:
+                        acc[c] += v * w
+            rows.append(tuple(acc) if p is None else tuple(x % p for x in acc))
+        return self._derived(tuple(rows))
 
     def power(self, k: int) -> "ExactMatrix":
         if k < 0:

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+from itertools import cycle
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +192,66 @@ def test_witness_command(capsys, tmp_path):
         assert run(capsys, *argv, "--json") == (code, json.dumps(
             {"d": [1, 1, 1, 1, 1], "pair": [i, j], "separates": code == 0},
             separators=(",", ":")) + "\n", "")
+
+
+def _rescaled(entries, values=("1/2", 3)):
+    """The entries with their nonzeros replaced by the values in turn."""
+    values = cycle(values)
+    return [[next(values) if v else 0 for v in row] for row in entries]
+
+
+def test_witness_verify_matrix_with_rational_entries(capsys, tmp_path):
+    # Fractions run through every product behind the certificate
+    path = tmp_path / "q.json"
+    cases = [
+        # (2,1,2): the witness diagram with rational edges; then a generic one
+        ("2,1,2", {"n": 5, "triples": [[0, 2, "1/2"], [2, 3, 3]]}, (1, 3), True),
+        ("2,1,2", {"n": 5, "triples": [[0, 2, "1/2"], [2, 3, 3], [1, 4, "-2/3"]]},
+         (1, 3), False),
+    ]
+    d = "7,5,2,3,5,1,2,6,5"
+    assert run(capsys, "witness", "-d", d, "--pair", "3,7", "--seed", "0", "--json",
+               "--out", str(path))[0] == 0
+    matrix = json.loads(path.read_text())["matrix"]
+    matrix["entries"] = _rescaled(matrix["entries"])
+    assert {v for row in matrix["entries"] for v in row} == {0, "1/2", 3}
+    cases += [(d, matrix, (3, 7), True), (d, matrix, (2, 5), False)]
+    for d, data, (i, j), good in cases:
+        path.write_text(json.dumps(data))
+        argv = ("witness", "-d", d, "--pair", f"{i},{j}", "--verify-matrix", str(path))
+        payload = {"d": [int(x) for x in d.split(",")], "pair": [i, j], "separates": good}
+        assert run(capsys, *argv, "--json") == (
+            0 if good else 1, json.dumps(payload, separators=(",", ":")) + "\n", "")
+
+
+def _run_into_closed_pipe(argv, buffered: bool):
+    """``python -m rorc.cli argv`` with stdout on a pipe whose reader is gone.
+    A buffered stdout fails at its flush, an unbuffered one at the write."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        return subprocess.run([sys.executable, "-m", "rorc.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "-d", "2,1,2"),
+    ("verify", "-d", "7,5,2,3,5,1,2,6,5", "--field", "32003", "--trials", "20", "--json"),
+    ("--help",),
+], ids=["analyze", "verify_json", "help"])
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_2_without_a_traceback(argv, buffered):
+    # exit 1 would read as a violation; a closed pipe is a configuration error
+    proc = _run_into_closed_pipe(argv, buffered)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: the reading end of the pipe is closed\n"
 
 
 def test_witness_verify_matrix_rejects_malformed_input(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 import rorc.matrices
 from rorc import Composition, ExactMatrix, richardson_element
 from rorc import _kernels
+from rorc.diagrams import LineDiagram, complete_diagram
 from rorc.matrices import _is_prime, _rank_bareiss
 
 
@@ -743,3 +745,95 @@ def test_rank_over_q_clears_denominators_of_mixed_rows():
             [True, Fraction(5, 4), 8]]
     assert ExactMatrix(rows).rank() == rank_by_fractions(rows) == 2
     assert ExactMatrix([[True, False], [False, True]]).rank() == 2
+
+
+# -- the sparse product against the dense sum ---------------------------------
+
+PRODUCT_FIELDS = ["Q", "Fp:2", "Fp:32003", "Fp:1147878283"]   # the last admits n <= 7
+
+
+def dense_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """Reference product: one sum per entry, zero terms included, reduced mod
+    p by the validating constructor."""
+    rows = tuple(tuple(sum(map(mul, r, c)) for c in zip(*b.rows)) for r in a.rows)
+    return ExactMatrix(rows, a.field)
+
+
+def assert_same_matrix(got: ExactMatrix, want: ExactMatrix):
+    assert got == want
+    assert hash(got) == hash(want)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert got._integer_rows() == want._integer_rows()
+
+
+def _sparse_rows(rng: random.Random, nr: int, nc: int, field: str) -> list[list]:
+    """Mostly zero rows, one all-zero row and column now and then; over Q the
+    entries mix ints, negatives, Fractions and explicit Fraction(0)s."""
+    if field == "Q":
+        values = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 1), Fraction(0))
+    else:
+        p = int(field[3:])
+        values = (1, p - 1, rng.randrange(p), rng.randrange(p))
+    rows = [[rng.choice(values) if rng.random() < 0.4 else 0 for _ in range(nc)]
+            for _ in range(nr)]
+    if rng.random() < 0.3:
+        rows[rng.randrange(nr)] = [0] * nc
+    if rng.random() < 0.3:
+        c = rng.randrange(nc)
+        for row in rows:
+            row[c] = 0
+    return rows
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS)
+def test_product_matches_the_dense_sum(field):
+    rng = random.Random(field)
+    for _ in range(100):
+        r, k, c = (rng.randint(1, 7) for _ in range(3))
+        a = ExactMatrix(_sparse_rows(rng, r, k, field), field)
+        b = ExactMatrix(_sparse_rows(rng, k, c, field), field)
+        assert_same_matrix(a.mul(b), dense_product(a, b))
+    full = ExactMatrix([[1] * 7] * 3, field)         # every term nonzero, sums past p
+    assert_same_matrix(full.mul(ExactMatrix([[1] * 2] * 7, field)),
+                       ExactMatrix([[7] * 2] * 3, field))
+
+
+def test_product_skips_zero_terms_that_are_fractions():
+    # the dense sum of Fraction(0) * 1/2 + 1 * 0 is Fraction(0); the sparse
+    # product adds neither term and returns the equal int 0
+    a = ExactMatrix([[Fraction(0), 1], [Fraction(1, 2), 0]])
+    b = ExactMatrix([[Fraction(1, 2), 3], [0, Fraction(0)]])
+    got, want = a.mul(b), dense_product(a, b)
+    assert type(want.rows[0][0]) is Fraction and type(got.rows[0][0]) is int
+    assert got.rows == ((0, 0), (Fraction(1, 4), Fraction(3, 2)))
+    assert_same_matrix(got, want)
+
+
+def _line_diagram_matrix(rng: random.Random, d: Composition, field: str):
+    """A random sub-diagram of the complete diagram of d, as a matrix whose
+    edges carry nonzero entries, and the diagram itself."""
+    edges = [e for e in sorted(complete_diagram(d).edges) if rng.random() < 0.8]
+    if field == "Q":
+        values = (1, -2, Fraction(1, 2), Fraction(-3, 4))
+    else:
+        values = (1, int(field[3:]) - 1)
+    triples = [(u - 1, v - 1, rng.choice(values)) for u, v in edges]
+    return ExactMatrix.from_triples(d.n, triples, field), LineDiagram(d, edges)
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS)
+def test_powers_and_jordan_type_of_line_diagram_matrices(field):
+    rng = random.Random(field)
+    shapes = [((2, 1, 2), 4), ((1, 2, 1, 1), 4), ((2, 2, 1, 2), 4), ((1,) * 7, 4)]
+    if field != "Fp:1147878283":
+        shapes.append(((7, 5, 2, 3, 5, 1, 2, 6, 5), 1))
+    for parts, samples in shapes:
+        d = Composition(parts)
+        for _ in range(samples):
+            a, diagram = _line_diagram_matrix(rng, d, field)
+            want = ExactMatrix.identity(d.n, field)
+            for k in range(5):
+                assert_same_matrix(a.power(k), want)
+                want = dense_product(want, a)
+            # the Jordan type of a line-diagram matrix is its chain lengths
+            assert a.jordan_type() == tuple(sorted(map(len, diagram.chains()), reverse=True))
