@@ -29,7 +29,7 @@ from .compositions import (
 )
 from .diagrams import chain_lengths, complete_diagram, render_ascii, subdiagram
 from .matrices import ExactMatrix
-from .strata import WitnessSearchError, decompose, defect_profile, separates, witness
+from .strata import WitnessSearchError, _profile, _witness, decompose, separates
 from .tableaux import minimal_movement, richardson_tableau
 from .verify import ConfigError, ExperimentConfig, run_checks
 
@@ -180,11 +180,11 @@ def _cmd_witness(args) -> int:
                   args.out)
         return 0 if good else 1
     try:
-        a = witness(d, (i, j), seed=seed, budget=args.budget)
+        a, defects = _witness(d, (i, j), seed, args.budget)
     except WitnessSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    profile = defect_profile(a, d)
+    profile = _profile(defects, d)      # the certificate's table, not the cache's
     if args.json:
         _emit_json({"d": list(d.parts), "pair": [i, j], "matrix": a.to_json_dict(),
                     "defect_profile": [list(v) for v in profile]}, args.out)

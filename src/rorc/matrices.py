@@ -7,9 +7,13 @@ p = 32003) for high-volume sampling.  All defining conditions are integer
 polynomials, so ranks certified over Q transfer, and mod-p ranks never exceed
 rational ones.
 
-Rank uses fraction-free (Bareiss) elimination for both fields: over Q on
-integer rows, rational entries cleared row-wise first (row scaling preserves
-rank); over F_p with each row reduced mod p.  The product is exact, reduced
+Rank uses one fraction-free (Bareiss) elimination for both fields: over Q
+on integer rows, rational entries cleared row-wise first (row scaling
+preserves rank); over F_p with each row reduced mod p.  The elimination
+(_pivot_rows) never swaps rows and returns the pivot row of each column,
+which gives the rank of every leading submatrix as well; the exact
+predicates of strata read all the windows of one power of A off one such
+elimination.  The product is exact, reduced
 mod p over F_p, and walks the nonzero entries only, so it costs time in
 proportion to the nonzero entries it meets (the 0/1 line-diagram matrices of
 the witness search are mostly zero).  Neither rank nor product runs the
@@ -355,36 +359,50 @@ class ExactMatrix:
 
 
 def _rank_bareiss(rows: list[list[int]], p: int | None = None) -> int:
-    """Rank by one-step fraction-free elimination with column pivoting, over
-    Q, or over F_p when ``p`` is given.
+    """Rank over Q, or over F_p when ``p`` is given: the number of pivots of
+    ``_pivot_rows``."""
+    pivots = _pivot_rows(rows, p)
+    return len(pivots) - pivots.count(-1)
 
-    Over Q, after k pivots every entry is a (k+1)x(k+1) minor of the input,
-    so the division by the previous pivot is exact (Sylvester's identity).
-    Over F_p the divisor stays 1 and each updated row is reduced mod p: the
-    step r <- pivot*r - f*pivot_row scales r by a unit, so it keeps the rank.
+
+def _pivot_rows(rows: list[list[int]], p: int | None = None) -> list[int]:
+    """The pivot row of each column, -1 for a column without one, from one
+    fraction-free elimination over Q, or over F_p when ``p`` is given.
+
+    Columns are taken in order.  A column's pivot is the topmost free row
+    (no column's pivot yet) with a nonzero entry there, and rows are never
+    swapped.  Each other free row r becomes (pivot*r - f*pivot_row) / prev,
+    f its entry in the column and prev the previous pivot.  Over Q, after k
+    pivots every entry of a free row is a (k+1)x(k+1) minor of the input, so
+    the division is exact (Sylvester's identity; Bareiss, Math. Comp. 22,
+    1968).  Over F_p the divisor stays 1 and each updated row is reduced mod
+    p.  Either way a free row only ever takes nonzero multiples of itself
+    and of the rows above it, so the pivots are the rank profile of every
+    leading submatrix (Dumas, Pernet and Sultan, J. Symbolic Comput. 2017):
+    rank(M[:r, :c]) is the number of columns below c whose pivot row is
+    below r.  Stops once no free row is left.
     """
     m = [row[:] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
+    nc = len(m[0]) if m else 0
+    pivots = [-1] * nc
+    free = list(range(len(m)))      # ascending: the first hit is the topmost
     prev = 1
     for col in range(nc):
-        piv = next((r for r in range(rank, nr) if m[r][col] != 0), None)
+        piv = next((r for r in free if m[r][col]), None)
         if piv is None:
             continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        for r in range(rank + 1, nr):
-            f = m[r][col]
-            for c in range(col + 1, nc):
-                m[r][c] = (m[r][c] * pv - m[rank][c] * f) // prev
-            m[r][col] = 0
-            if p is not None:
-                m[r] = [v % p for v in m[r]]
-        prev = pv if p is None else 1
-        rank += 1
-        if rank == nr:
+        pivots[col] = piv
+        free.remove(piv)
+        if not free:
             break
-    return rank
-
+        pv, tail = m[piv][col], m[piv][col + 1:]
+        for r in free:
+            row = m[r]
+            f = row[col]
+            if p is None:
+                row[col + 1:] = [(x * pv - y * f) // prev for x, y in zip(row[col + 1:], tail)]
+            else:
+                row[col + 1:] = [(x * pv - y * f) % p for x, y in zip(row[col + 1:], tail)]
+        if p is None:
+            prev = pv
+    return pivots

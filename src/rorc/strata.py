@@ -8,16 +8,18 @@ attained on the dense orbit.  The stratum of a pair (i, j) imposes the defect
 at the threshold exponent kappa(i, j); the strata of the pairs in
 lambda_pairs(d) are exactly the irreducible components of the complement.
 
-Everything here is exact: the predicates rank with ExactMatrix, one
-fraction-free elimination over Q or reduced mod p, never with the mod-p
-kernels that rank_tables runs for the verifier.  They read one exact defect
-table per matrix through defect_flags and stratum_flags.  The
+Everything here is exact: the predicates rank with the fraction-free
+elimination of ExactMatrix (matrices._pivot_rows), over Q or reduced mod p,
+never with the mod-p kernels that rank_tables runs for the verifier.  One
+elimination per power A^k, k < t, gives the ranks of all windows of A^k
+(_exact_ranks), and the predicates read the resulting defect table, cached
+per matrix (_exact_defects), through defect_flags and stratum_flags.  The
 witness search takes its line diagrams, kept as edge sets, from one generator
 (_candidates) in two phases: the deterministic breaks of the complete diagram
 and the moved tableau's diagram, then a seeded walk.  It screens each by
 counting its chains (chain_window_rank) against the kappas and thresholds of
-window_tables(d), and certifies the accepted one over the rationals with the
-predicate behind separates.
+window_tables(d), and certifies the accepted one over the rationals with an
+exact defect table of its own, which stays out of the predicates' cache.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .diagrams import (
     max_window_rank,
     tableau_diagram,
 )
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, _pivot_rows
 from .tableaux import YoungTableau, minimal_movement, richardson_tableau, shared_row
 
 
@@ -110,26 +112,57 @@ def defect_profile(a: ExactMatrix, d) -> list[tuple[int, int, int]]:
     """All (i, j, k) with k <= j - i where A is rank-defective, in (i, j, k)
     order.  Empty exactly when A is of generic Jordan type."""
     d = as_composition(d)
+    return _profile(_exact_defects(a, d), d)
+
+
+def _profile(defects: np.ndarray, d: Composition) -> list[tuple[int, int, int]]:
+    """The (i, j, k) cells set in an exact defect table, in (i, j, k) order."""
     pairs = window_tables(d).pairs
-    return [(*pairs[pi], int(k) + 1) for pi, k in zip(*np.nonzero(_exact_defects(a, d)))]
+    return [(*pairs[pi], int(k) + 1) for pi, k in zip(*np.nonzero(defects))]
 
 
-# The exact defect flags of A, read-only, in the (P, kmax) layout of
-# rank_tables.  The window (i, j) of A^k is the k-th power of the window of A,
-# so the t - 2 products A^2, ..., A^(t-1) serve every window.  ``rorc witness``
-# reads each table twice, for the certificate in ``separates`` and for the
-# report's ``defect_profile``; a small bound serves that and keeps no more.
-@lru_cache(maxsize=8)
-def _exact_defects(a: ExactMatrix, d: Composition) -> np.ndarray:
+# The exact window ranks of A, one elimination per power.  A^k has its
+# nonzero blocks (a, b) at b >= a + k, and the window (i, j) of A^k is the
+# k-th power of the window of A.  So the rows o_(i-1)..o_(t-k) and columns
+# o_k..o_j of A^k hold that window's nonzero part, block rows i..j-k by
+# block columns i+k..j, and zeros elsewhere.  Flip the rows of the corner
+# A^k[:o_(t-k), o_k:] and that submatrix becomes a leading one, whose rank
+# the corner's one elimination (_pivot_rows) gives: the number of columns
+# below o_j - o_k whose pivot row is below o_(t-k) - o_(i-1).  The t - 2
+# products A^2, ..., A^(t-1) and t - 1 eliminations serve every window; the
+# pivot rows of all corners, padded with n, are counted in one pass.
+def _exact_ranks(a: ExactMatrix, d: Composition) -> np.ndarray:
+    """rank(A[i,j]^k) in the (P, kmax) layout of rank_tables, -1 beyond
+    the spans; ValueError unless A lies in the nilradical of d."""
     _require_nilradical(a, d)
     tab = window_tables(d)
-    powers = list(accumulate(repeat(a, d.t - 1), ExactMatrix.mul))
-    ranks = np.full((len(tab.pairs), tab.kmax), -1, dtype=np.int64)
-    for pi, (i, j) in enumerate(tab.pairs):
-        ranks[pi, :j - i] = [powers[k].window(d, i, j).rank() for k in range(j - i)]
-    flags = defect_flags(ranks, tab)
+    o, t, n = d.offsets, d.t, d.n
+    pivots = np.full((t - 1, n), n)     # n: no pivot, below no row bound
+    for k, power in enumerate(accumulate(repeat(a, t - 1), ExactMatrix.mul), 1):
+        corner = [row[o[k]:] for row in reversed(power._integer_rows()[:o[t - k]])]
+        pivots[k - 1, :n - o[k]] = _pivot_rows(corner, a.p)
+    pivots[pivots < 0] = n
+    ks, offsets = np.arange(1, t), np.array(o)
+    row_bounds = offsets[t - ks] - tab.starts[:, None]      # (P, kmax)
+    col_bounds = tab.stops[:, None] - offsets[ks]
+    ranks = np.count_nonzero((pivots < row_bounds[..., None])
+                             & (np.arange(n) < col_bounds[..., None]), axis=2)
+    ranks[tab.spans[:, None] < ks] = -1
+    return ranks
+
+
+def _defect_table(a: ExactMatrix, d: Composition) -> np.ndarray:
+    """The exact defect flags of A, read-only, aligned with _exact_ranks."""
+    flags = defect_flags(_exact_ranks(a, d), window_tables(d))
     flags.flags.writeable = False
     return flags
+
+
+# The membership predicates read A's table through this cache.  ``rorc
+# witness`` certifies with the search's own table, which stays out of it, so
+# a later predicate on the witness computes its table afresh; the small
+# bound keeps the tables of a few recent matrices and no more.
+_exact_defects = lru_cache(maxsize=8)(_defect_table)
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +503,10 @@ def _lambda_index(tab: WindowTables, pair) -> int:
     return tab.pairs.index((i, j))
 
 
-def _separating(a: ExactMatrix, d: Composition, tab: WindowTables, pi: int) -> bool:
-    """True when the stratum row of A's exact defect table holds the pair
+def _separating(defects: np.ndarray, tab: WindowTables, pi: int) -> bool:
+    """True when the stratum row of an exact defect table holds the pair
     tab.pairs[pi] and no other pair of lambda_pairs(d)."""
-    row = stratum_flags(_exact_defects(a, d), tab)
+    row = stratum_flags(defects, tab)
     return bool((row == (np.arange(len(tab.pairs)) == pi))[tab.lam].all())
 
 
@@ -482,7 +515,7 @@ def separates(a: ExactMatrix, d, pair: tuple[int, int]) -> bool:
     other pair of lambda_pairs(d), read off A's one exact defect table."""
     d = as_composition(d)
     tab = window_tables(d)
-    return _separating(a, d, tab, _lambda_index(tab, pair))
+    return _separating(_exact_defects(a, d), tab, _lambda_index(tab, pair))
 
 
 def witness(d, pair: tuple[int, int], seed: int = 0, budget: int = 100_000) -> ExactMatrix:
@@ -495,10 +528,15 @@ def witness(d, pair: tuple[int, int], seed: int = 0, budget: int = 100_000) -> E
     chain_window_rank, must fall below the threshold for ``pair`` and for no
     other pair of lambda_pairs(d), all read off window_tables(d).  The first
     candidate that passes becomes a LineDiagram and an ExactMatrix, and is
-    certified over the rationals by the predicate behind ``separates``.
+    certified over the rationals by its exact defect table, computed as
+    ``separates`` computes it but kept out of the predicates' cache.
     Raises WitnessSearchError when both phases are exhausted.
     """
-    d = as_composition(d)
+    return _witness(as_composition(d), pair, seed, budget)[0]
+
+
+def _witness(d: Composition, pair, seed: int, budget: int) -> tuple[ExactMatrix, np.ndarray]:
+    """``witness`` and the exact defect table that certified it."""
     tab = window_tables(d)
     pi = _lambda_index(tab, pair)
     for name, value in (("seed", seed), ("budget", budget)):
@@ -515,10 +553,11 @@ def witness(d, pair: tuple[int, int], seed: int = 0, budget: int = 100_000) -> E
         if all((chain_window_rank(visits, k, l, kap) < thr) == own
                for own, k, l, kap, thr in strata):
             a = LineDiagram(d, edges).to_matrix()
-            if not _separating(a, d, tab, pi):
+            defects = _defect_table(a, d)
+            if not _separating(defects, tab, pi):
                 raise AssertionError(
                     "the chain-count screen accepted a matrix that does not separate")
-            return a
+            return a, defects
     raise WitnessSearchError(
         f"no separating witness for {pair} within {budget} trials; "
         "this signals a bug or a degenerate configuration worth inspecting"

@@ -14,7 +14,7 @@ import rorc.matrices
 from rorc import Composition, ExactMatrix, richardson_element
 from rorc import _kernels
 from rorc.diagrams import LineDiagram, complete_diagram
-from rorc.matrices import _is_prime, _rank_bareiss
+from rorc.matrices import _is_prime, _pivot_rows, _rank_bareiss
 
 
 def rank_by_fractions(rows) -> int:
@@ -56,6 +56,33 @@ def test_bareiss_against_fraction_oracle():
         nc = rng.randint(1, 7)
         rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
         assert _rank_bareiss(rows) == rank_by_fractions(rows)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 32003])
+def test_pivot_rows_count_the_rank_of_every_leading_submatrix(p):
+    """rank(M[:r, :c]) is the number of columns below c whose pivot row is
+    below r, against the Fraction oracle over Q and sympy over GF(p); the
+    input rows are left as they were."""
+    rng = random.Random(83 if p is None else p)
+    for _ in range(60):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        density = rng.choice((1.0, 0.5, 0.2))
+        rows = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(nc)]
+                for _ in range(nr)]
+        if p is not None:
+            rows = [[v % p for v in row] for row in rows]
+        before = [row[:] for row in rows]
+        pivots = _pivot_rows(rows, p)
+        assert rows == before
+        for r in range(1, nr + 1):
+            for c in range(1, nc + 1):
+                lead = [row[:c] for row in rows[:r]]
+                if p is None:
+                    want = rank_by_fractions(lead)
+                else:
+                    want = DomainMatrix([[GF(p)(v) for v in row] for row in lead],
+                                        (r, c), GF(p)).rank()
+                assert sum(0 <= pivots[x] < r for x in range(c)) == want
 
 
 def test_rank_with_fractions_entries():

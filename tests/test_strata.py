@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from rorc.cli import main
 from rorc.verify import compositions_of
 from rorc.diagrams import LineDiagram, chain_window_rank, complete_diagram, edge_chains
 from rorc.strata import defect_flags, rank_tables, stratum_flags, window_tables
-from rorc.strata import _candidates, _exact_defects
+from rorc.strata import _candidates, _exact_defects, _exact_ranks
 
 RUNNING = Composition.of(7, 5, 2, 3, 5, 1, 2, 6, 5)
 
@@ -482,6 +483,43 @@ def test_defect_profile_matches_rank_defect():
             assert [c for c in cells if rank_defect(a, d, *c)] == want
 
 
+def _nilradical_matrices(rng: random.Random, d: Composition, field: str) -> list[ExactMatrix]:
+    """A dense, a sparse and a line-diagram matrix in the nilradical of d over
+    ``field``; over Q the first two mix negative ints and Fractions."""
+    positions = window_tables(d).positions.tolist()
+    if field == "Q":
+        values = (-3, -1, 1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
+    else:
+        values = range(1, min(int(field[3:]), 50))
+
+    def draw(density):
+        return ExactMatrix.from_triples(
+            d.n, [(r, c, rng.choice(values)) for r, c in positions if rng.random() < density],
+            field)
+
+    line = ExactMatrix(_random_line_diagram(rng, d).to_matrix().rows, field)
+    return [draw(0.9), draw(0.2), line]
+
+
+@pytest.mark.parametrize("field, seed", [("Q", 3), ("Fp:2", 5), ("Fp:3", 7), ("Fp:32003", 11)])
+def test_exact_ranks_match_each_window_power(field, seed):
+    """The window ranks read off one elimination per power of A against the
+    rank of each window's own k-th power, cell by cell (-1 beyond each span),
+    on dense, sparse and line-diagram matrices of random compositions with
+    t <= 6 and of the running example."""
+    rng = random.Random(seed)
+    comps = [RUNNING] + [Composition.of(*(rng.randint(1, 4) for _ in range(rng.randint(1, 6))))
+                         for _ in range(12)]
+    for d in comps:
+        tab = window_tables(d)
+        for a in _nilradical_matrices(rng, d, field):
+            want = np.full((len(tab.pairs), tab.kmax), -1)
+            for pi, (i, j) in enumerate(tab.pairs):
+                want[pi, :j - i] = [a.window(d, i, j).power(k).rank()
+                                    for k in range(1, j - i + 1)]
+            assert _exact_ranks(a, d).tolist() == want.tolist()
+
+
 def _count_calls(monkeypatch, cls, name):
     """Wrap cls.name to count its calls; returns the one-element counter."""
     counter = [0]
@@ -521,6 +559,28 @@ def test_cli_witness_forms_powers_once(monkeypatch, capsys, parts, pair, seed):
     assert '"defect_profile"' in capsys.readouterr().out
     assert muls[0] == len(parts) - 2
     assert diagrams[0] <= 5
+
+
+def test_cli_witness_leaves_the_predicate_cache_empty(tmp_path):
+    """``rorc witness`` certifies with a table of its own and reports its
+    defect profile off it, so the predicates' cache stays empty: a check of
+    the payload's matrix with in_stratum ranks it afresh, and the public
+    defect_profile agrees with the reported one."""
+    out = tmp_path / "witness.json"
+    for parts, pair in [(RUNNING.parts, (3, 7)), ((3, 1, 1, 1, 3, 1), (2, 3))]:
+        _exact_defects.cache_clear()
+        assert main(["witness", "-d", ",".join(map(str, parts)), "--pair", "%d,%d" % pair,
+                     "--seed", "2", "--json", "--out", str(out)]) == 0
+        assert _exact_defects.cache_info().currsize == 0
+        payload = json.loads(out.read_text())
+        a, d = ExactMatrix.from_json_dict(payload["matrix"]), Composition(parts)
+        assert in_stratum(a, d, *pair)
+        info = _exact_defects.cache_info()
+        assert (info.hits, info.misses) == (0, 1)
+        assert [list(c) for c in defect_profile(a, d)] == payload["defect_profile"]
+    _exact_defects.cache_clear()
+    witness(RUNNING, (1, 8))
+    assert _exact_defects.cache_info().currsize == 0
 
 
 def test_exact_defect_cache_keys_on_the_field():
