@@ -13,11 +13,16 @@ preserves rank); over F_p with each row reduced mod p.  The elimination
 (_pivot_rows) never swaps rows and returns the pivot row of each column,
 which gives the rank of every leading submatrix as well; the exact
 predicates of strata read all the windows of one power of A off one such
-elimination.  The product is exact, reduced
-mod p over F_p, and walks the nonzero entries only, so it costs time in
-proportion to the nonzero entries it meets (the 0/1 line-diagram matrices of
-the witness search are mostly zero).  Neither rank nor product runs the
-batched mod-p kernels, so this layer checks them independently.
+elimination.  It skips each row whose entry in the pivot column is zero,
+and over Q keeps per row the Bareiss divisor of its last update, so the
+divisions stay exact and the pivots do not move.  The product (_product,
+behind ExactMatrix.mul) is exact, reduced mod p over F_p, and walks the
+nonzero listings (_nonzeros) of its factors, so it costs time in proportion
+to the nonzero entries it meets (the 0/1 line-diagram matrices of the
+witness search are mostly zero).  The exact predicates list A once, scaled
+by the common denominator of its entries (_integer_nonzeros), and form its
+powers from that listing.  Neither rank nor product runs the batched mod-p
+kernels, so this layer checks them independently.
 
 Validation happens once, at the public boundary: ``ExactMatrix(...)``,
 ``from_triples``, ``from_json_dict``, ``zeros``, ``identity`` and
@@ -199,30 +204,21 @@ class ExactMatrix:
     # -- arithmetic ----------------------------------------------------------
 
     def mul(self, other: "ExactMatrix") -> "ExactMatrix":
-        """The exact product self · other, reduced mod p over ``Fp:p``.
-
-        Row by row over the nonzero entries (Gustavson 1978): each row of
-        ``other`` is listed once as its (column, value) nonzeros, and each
-        nonzero v in a row of ``self`` adds v times the matching listed row
-        into that row's accumulator.  So the product costs time in
-        proportion to the nonzero entries it meets.  Zero terms are never
-        added, so an entry may be an int where a dense sum gives the equal
-        ``Fraction`` with denominator 1.
+        """The exact product self · other, reduced mod p over ``Fp:p``, from
+        the sparse product ``_product`` of the two nonzero listings.  Zero
+        terms are never added, so an entry may be an int where a dense sum
+        gives the equal ``Fraction``.
         """
         if self.field != other.field:
             raise ValueError("field mismatch")
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        terms = [[(c, w) for c, w in enumerate(row) if w] for row in other.rows]
-        ncols, p = other.ncols, self.p
         rows = []
-        for row in self.rows:
-            acc = [0] * ncols
-            for v, listed in zip(row, terms):
-                if v:
-                    for c, w in listed:
-                        acc[c] += v * w
-            rows.append(tuple(acc) if p is None else tuple(x % p for x in acc))
+        for listed in _product(_nonzeros(self.rows), _nonzeros(other.rows), self.p):
+            row = [0] * other.ncols
+            for c, v in listed:
+                row[c] = v
+            rows.append(tuple(row))
         return self._derived(tuple(rows))
 
     def power(self, k: int) -> "ExactMatrix":
@@ -256,8 +252,12 @@ class ExactMatrix:
         mults = tuple(ranks[k] - ranks[k + 1] for k in range(len(ranks) - 1))
         return conjugate(mults)
 
+    def _all_ints(self) -> bool:
+        """True when every entry is an int (not a Fraction or a bool)."""
+        return set(map(type, chain.from_iterable(self.rows))) == {int}
+
     def _integer_rows(self) -> list[list[int]]:
-        if set(map(type, chain.from_iterable(self.rows))) == {int}:
+        if self._all_ints():
             return [list(row) for row in self.rows]
         out = []
         for row in self.rows:   # Fractions (or bools): clear each row's denominators
@@ -295,11 +295,11 @@ class ExactMatrix:
                 return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
             return int(v)
 
-        out = {
-            "n": self.nrows,
-            "field": self.field,
-            "entries": [[enc(v) for v in row] for row in self.rows],
-        }
+        if self._all_ints():
+            entries = [list(row) for row in self.rows]
+        else:
+            entries = [[enc(v) for v in row] for row in self.rows]
+        out = {"n": self.nrows, "field": self.field, "entries": entries}
         if self.blocks is not None:
             out["d"] = list(self.blocks.parts)
         return out
@@ -365,27 +365,76 @@ def _rank_bareiss(rows: list[list[int]], p: int | None = None) -> int:
     return len(pivots) - pivots.count(-1)
 
 
+def _nonzeros(rows) -> list[list[tuple[int, Scalar]]]:
+    """Each row as the list of its (column, value) nonzero entries."""
+    return [[(c, v) for c, v in enumerate(row) if v] for row in rows]
+
+
+def _integer_nonzeros(a: ExactMatrix) -> list[list[tuple[int, int]]]:
+    """The nonzero listing of L·A, L the lcm of the denominators of A's
+    entries: integer entries, and (L·A)^k = L^k·A^k has the ranks of A^k
+    in every submatrix."""
+    listing = _nonzeros(a.rows)
+    values = [v for row in listing for _, v in row]
+    if set(map(type, values)) <= {int}:
+        return listing
+    scale = lcm(*(Fraction(v).denominator for v in values))
+    return [[(c, int(v * scale)) for c, v in row] for row in listing]
+
+
+def _product(left, right, p: int | None = None) -> list[list[tuple[int, Scalar]]]:
+    """The exact product of two matrices given as nonzero listings (see
+    ``_nonzeros``), as the nonzero listing of its rows, reduced mod p when
+    ``p`` is given.
+
+    Row by row (Gustavson, ACM TOMS 4, 1978): each nonzero v at column c of
+    a left row adds v times the listed row c of ``right`` into that row's
+    accumulator, so the product costs time in proportion to the nonzero
+    terms it meets.  Columns come in the order they were first met.
+    """
+    out = []
+    for row in left:
+        acc = {}
+        for c, v in row:
+            for c2, w in right[c]:
+                acc[c2] = acc.get(c2, 0) + v * w
+        if p is None:
+            out.append([(c, x) for c, x in acc.items() if x])
+        else:
+            out.append([(c, r) for c, x in acc.items() if (r := x % p)])
+    return out
+
+
 def _pivot_rows(rows: list[list[int]], p: int | None = None) -> list[int]:
     """The pivot row of each column, -1 for a column without one, from one
     fraction-free elimination over Q, or over F_p when ``p`` is given.
 
     Columns are taken in order.  A column's pivot is the topmost free row
     (no column's pivot yet) with a nonzero entry there, and rows are never
-    swapped.  Each other free row r becomes (pivot*r - f*pivot_row) / prev,
-    f its entry in the column and prev the previous pivot.  Over Q, after k
-    pivots every entry of a free row is a (k+1)x(k+1) minor of the input, so
-    the division is exact (Sylvester's identity; Bareiss, Math. Comp. 22,
-    1968).  Over F_p the divisor stays 1 and each updated row is reduced mod
-    p.  Either way a free row only ever takes nonzero multiples of itself
-    and of the rows above it, so the pivots are the rank profile of every
-    leading submatrix (Dumas, Pernet and Sultan, J. Symbolic Comput. 2017):
-    rank(M[:r, :c]) is the number of columns below c whose pivot row is
-    below r.  Stops once no free row is left.
+    swapped.  Over Q a free row r with entry f in the column becomes
+    (pivot*r - f*pivot_row) / prev, prev the previous pivot (Bareiss, Math.
+    Comp. 22, 1968): after k pivots every entry of such a Bareiss row is a
+    (k+1)x(k+1) minor of the input, so the division is exact (Sylvester's
+    identity).  A free row with f = 0 is skipped: its Bareiss step only
+    scales it by pivot/prev, and those factors telescope.  So each row keeps
+    a divisor div[r], the pivot at its last update (1 before any), and holds
+    its Bareiss row times div[r]/prev.  An update is (pivot*r - f*pivot_row)
+    / div[r], exact because f carries the same factor, after which div[r] is
+    the pivot; a row chosen as pivot is first scaled by prev/div[r].  Over
+    F_p there is no divisor: each updated row is reduced mod p, and a
+    skipped row only misses a nonzero scale factor.  Either way a free row
+    only ever takes nonzero multiples of itself and of the rows above it, so
+    the pivots are the rank profile of every leading submatrix (Dumas,
+    Pernet and Sultan, J. Symbolic Comput. 2017): rank(M[:r, :c]) is the
+    number of columns below c whose pivot row is below r.  The skip changes
+    no pivot, and an elimination costs time in proportion to the rows it
+    updates.  Stops once no free row is left.
     """
     m = [row[:] for row in rows]
     nc = len(m[0]) if m else 0
     pivots = [-1] * nc
     free = list(range(len(m)))      # ascending: the first hit is the topmost
+    div = [1] * len(m)
     prev = 1
     for col in range(nc):
         piv = next((r for r in free if m[r][col]), None)
@@ -395,12 +444,18 @@ def _pivot_rows(rows: list[list[int]], p: int | None = None) -> list[int]:
         free.remove(piv)
         if not free:
             break
-        pv, tail = m[piv][col], m[piv][col + 1:]
+        tail = m[piv][col:]
+        if p is None and div[piv] != prev:
+            tail = [y * prev // div[piv] for y in tail]
+        pv, tail = tail[0], tail[1:]
         for r in free:
             row = m[r]
             f = row[col]
+            if not f:
+                continue
             if p is None:
-                row[col + 1:] = [(x * pv - y * f) // prev for x, y in zip(row[col + 1:], tail)]
+                row[col + 1:] = [(x * pv - y * f) // div[r] for x, y in zip(row[col + 1:], tail)]
+                div[r] = pv
             else:
                 row[col + 1:] = [(x * pv - y * f) % p for x, y in zip(row[col + 1:], tail)]
         if p is None:

@@ -9,11 +9,14 @@ at the threshold exponent kappa(i, j); the strata of the pairs in
 lambda_pairs(d) are exactly the irreducible components of the complement.
 
 Everything here is exact: the predicates rank with the fraction-free
-elimination of ExactMatrix (matrices._pivot_rows), over Q or reduced mod p,
-never with the mod-p kernels that rank_tables runs for the verifier.  One
-elimination per power A^k, k < t, gives the ranks of all windows of A^k
-(_exact_ranks), and the predicates read the resulting defect table, cached
-per matrix (_exact_defects), through defect_flags and stratum_flags.  The
+elimination of ExactMatrix (matrices._pivot_rows, which skips rows with a
+zero in the pivot column and keeps a Bareiss divisor per row), over Q or
+reduced mod p, never with the mod-p kernels that rank_tables runs for the
+verifier.  One elimination per power A^k, k < t, gives the ranks of all
+windows of A^k (_exact_ranks); the powers are sparse products of one
+nonzero listing of A, scaled by the common denominator of its entries.  The
+predicates read the resulting defect table, cached per matrix
+(_exact_defects), through defect_flags and stratum_flags.  The
 witness search takes its line diagrams, kept as edge sets, from one generator
 (_candidates) in two phases: the deterministic breaks of the complete diagram
 and the moved tableau's diagram, then a seeded walk.  It screens each by
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -52,7 +54,7 @@ from .diagrams import (
     max_window_rank,
     tableau_diagram,
 )
-from .matrices import ExactMatrix, _pivot_rows
+from .matrices import ExactMatrix, _integer_nonzeros, _pivot_rows, _product
 from .tableaux import YoungTableau, minimal_movement, richardson_tableau, shared_row
 
 
@@ -68,12 +70,9 @@ def in_nilradical(a: ExactMatrix, d) -> bool:
     d = as_composition(d)
     if not a.is_square() or a.n != d.n:
         raise ValueError(f"matrix size {a.nrows} does not match n={d.n}")
-    blk = d.block_of
-    for r in range(a.n):
-        for c in range(a.n):
-            if blk[r] >= blk[c] and a.entry(r, c) != 0:
-                return False
-    return True
+    o = d.offsets
+    # row r may be nonzero only right of the end of its block
+    return not any(any(row[:o[b]]) for row, b in zip(a.rows, d.block_of))
 
 
 def _require_nilradical(a: ExactMatrix, d: Composition) -> None:
@@ -128,9 +127,12 @@ def _profile(defects: np.ndarray, d: Composition) -> list[tuple[int, int, int]]:
 # block columns i+k..j, and zeros elsewhere.  Flip the rows of the corner
 # A^k[:o_(t-k), o_k:] and that submatrix becomes a leading one, whose rank
 # the corner's one elimination (_pivot_rows) gives: the number of columns
-# below o_j - o_k whose pivot row is below o_(t-k) - o_(i-1).  The t - 2
-# products A^2, ..., A^(t-1) and t - 1 eliminations serve every window; the
-# pivot rows of all corners, padded with n, are counted in one pass.
+# below o_j - o_k whose pivot row is below o_(t-k) - o_(i-1).  A is listed
+# once by its nonzeros, scaled by the common denominator of its entries
+# (which scales every power and changes no rank), and the t - 2 sparse
+# products A^2, ..., A^(t-1) and t - 1 eliminations serve every window; each
+# corner is written straight from its power's listing, and the pivot rows of
+# all corners, padded with n, are counted in one pass.
 def _exact_ranks(a: ExactMatrix, d: Composition) -> np.ndarray:
     """rank(A[i,j]^k) in the (P, kmax) layout of rank_tables, -1 beyond
     the spans; ValueError unless A lies in the nilradical of d."""
@@ -138,8 +140,16 @@ def _exact_ranks(a: ExactMatrix, d: Composition) -> np.ndarray:
     tab = window_tables(d)
     o, t, n = d.offsets, d.t, d.n
     pivots = np.full((t - 1, n), n)     # n: no pivot, below no row bound
-    for k, power in enumerate(accumulate(repeat(a, t - 1), ExactMatrix.mul), 1):
-        corner = [row[o[k]:] for row in reversed(power._integer_rows()[:o[t - k]])]
+    listing = power = _integer_nonzeros(a)
+    for k in range(1, t):
+        if k > 1:
+            power = _product(power, listing, a.p)
+        corner = []
+        for row in reversed(power[:o[t - k]]):
+            dense = [0] * (n - o[k])
+            for c, v in row:
+                dense[c - o[k]] = v
+            corner.append(dense)
         pivots[k - 1, :n - o[k]] = _pivot_rows(corner, a.p)
     pivots[pivots < 0] = n
     ks, offsets = np.arange(1, t), np.array(o)
@@ -236,10 +246,10 @@ class WindowTables:
 
     _window_tables keeps one per composition, so every array here is
     read-only.  The members that only some callers need are built on first
-    use and kept with the table: ``plan`` for the rank kernel,
-    ``lemma_masks`` and ``symbolic_violations`` for the verifier's lemma
-    checks, ``flag_tables`` for its reducers and ``forced_windows`` for its
-    forced sample.
+    use and kept with the table: ``plan`` for the rank kernel, ``positions``
+    for the verifier's samples, ``lemma_masks`` and ``symbolic_violations``
+    for its lemma checks, ``flag_tables`` for its reducers and
+    ``forced_windows`` for its forced sample.
     """
 
     d: Composition
@@ -253,7 +263,6 @@ class WindowTables:
     gamma: np.ndarray               # (P,) bool
     lam: np.ndarray                 # (P,) bool
     full_index: int                 # index of the full window (1, t); 0 when t = 1
-    positions: np.ndarray           # (m, 2) free entries of the pattern
 
     def __post_init__(self):
         for value in vars(self).values():
@@ -266,6 +275,19 @@ class WindowTables:
         (_kernels.window_plan), built on the first rank_tables call: the
         witness search, which ranks nothing mod p, never builds it."""
         return _kernels.window_plan(self.d.offsets, self.pairs)
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """(m, 2), read-only: the free entries (row, column) of the pattern,
+        block by block, (1, 2), (1, 3), ..., (t - 1, t), and row by row in
+        each block.  Only the verifier's samples read it."""
+        o, t = self.d.offsets, self.d.t
+        positions = np.array([(r, c)
+                              for bi in range(1, t) for bj in range(bi + 1, t + 1)
+                              for r in range(o[bi - 1], o[bi])
+                              for c in range(o[bj - 1], o[bj])], dtype=np.int64).reshape(-1, 2)
+        positions.flags.writeable = False
+        return positions
 
     @cached_property
     def lemma_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -386,14 +408,6 @@ def _window_tables(d: Composition) -> WindowTables:
     lam = np.array([p in lset for p in pairs], dtype=bool)
     full_index = pairs.index((1, t)) if t > 1 else 0
 
-    positions = []
-    for bi in range(1, t):
-        for bj in range(bi + 1, t + 1):
-            for r in range(o[bi - 1], o[bi]):
-                for c in range(o[bj - 1], o[bj]):
-                    positions.append((r, c))
-    positions = np.array(positions, dtype=np.int64).reshape(-1, 2)
-
     return WindowTables(
         d=d,
         pairs=tuple(pairs),
@@ -406,7 +420,6 @@ def _window_tables(d: Composition) -> WindowTables:
         gamma=gamma,
         lam=lam,
         full_index=full_index,
-        positions=positions,
     )
 
 

@@ -520,6 +520,22 @@ def test_exact_ranks_match_each_window_power(field, seed):
             assert _exact_ranks(a, d).tolist() == want.tolist()
 
 
+@pytest.mark.parametrize("scale", [Fraction(3, 7), Fraction(-5, 2), 6])
+def test_exact_ranks_do_not_see_a_rational_scale(scale):
+    """The table clears A's denominators with one common scale, so c·A has
+    the table of A for a nonzero rational c, and a scaled witness still
+    separates."""
+    rng = random.Random(str(scale))
+    comps = [RUNNING] + [Composition.of(*(rng.randint(1, 4) for _ in range(rng.randint(2, 6))))
+                         for _ in range(8)]
+    for d in comps:
+        for a in _nilradical_matrices(rng, d, "Q"):
+            scaled = ExactMatrix([[scale * v for v in row] for row in a.rows])
+            assert _exact_ranks(scaled, d).tolist() == _exact_ranks(a, d).tolist()
+    a = witness(RUNNING, (3, 7))
+    assert separates(ExactMatrix([[scale * v for v in row] for row in a.rows]), RUNNING, (3, 7))
+
+
 def _count_calls(monkeypatch, cls, name):
     """Wrap cls.name to count its calls; returns the one-element counter."""
     counter = [0]
@@ -533,10 +549,21 @@ def _count_calls(monkeypatch, cls, name):
     return counter
 
 
+def _count_products(monkeypatch):
+    """Count the calls of the one sparse product, matrices._product, made by
+    ExactMatrix.mul and by the exact rank table alike."""
+    import rorc.matrices
+    import rorc.strata
+
+    counter = _count_calls(monkeypatch, rorc.matrices, "_product")
+    monkeypatch.setattr(rorc.strata, "_product", rorc.matrices._product)
+    return counter
+
+
 def test_defect_profile_forms_each_power_of_a_once(monkeypatch):
     a = witness(RUNNING, (3, 7))
     _exact_defects.cache_clear()
-    calls = _count_calls(monkeypatch, ExactMatrix, "mul")
+    calls = _count_products(monkeypatch)
     assert defect_profile(a, RUNNING)
     assert calls[0] == RUNNING.t - 2 == 7
 
@@ -551,7 +578,7 @@ def test_cli_witness_forms_powers_once(monkeypatch, capsys, parts, pair, seed):
     profile off one exact table: t - 2 products, and no LineDiagram per
     screened candidate."""
     _exact_defects.cache_clear()
-    muls = _count_calls(monkeypatch, ExactMatrix, "mul")
+    muls = _count_products(monkeypatch)
     diagrams = _count_calls(monkeypatch, LineDiagram, "__post_init__")
     argv = ["witness", "-d", ",".join(map(str, parts)), "--pair", pair,
             "--seed", str(seed), "--json"]
